@@ -17,8 +17,7 @@ from scipy.spatial.distance import cdist
 
 from .dataset import PointCloud
 from .geometry import DensityEstimate, DiffusionEmbedding
-from .land import ActiveResult, BudgetExceededError
-from .lund import propagate_labels
+from .land import ActiveResult, _query_and_propagate
 
 LINKAGE_METHODS = ("single", "average")
 
@@ -185,24 +184,14 @@ def land_random(
     nearest_higher: np.ndarray | None = None,
 ) -> ActiveResult:
     """Active labeling with uniformly random query points instead of the
-    mode-score maximizers; everything after the queries is unchanged."""
+    mode-score maximizers; everything after the queries is unchanged,
+    including the partial query trail on a refused query."""
     n = dens.n
     if not 1 <= budget <= n:
         raise ValueError(f"need 1 <= budget <= n, got budget={budget}, n={n}")
     rng = np.random.default_rng(seed)
     targets = rng.choice(n, size=budget, replace=False).astype(np.int64)
-    seeds = np.zeros(n, dtype=np.int64)
-    answers = np.zeros(budget, dtype=np.int64)
-    for pos, idx in enumerate(targets):
-        answers[pos] = int(oracle.query(int(idx)))
-        seeds[idx] = answers[pos]
-    labels = propagate_labels(seeds, dens, emb, nearest_higher=nearest_higher)
-    return ActiveResult(
-        labels=labels,
-        queried_indices=targets,
-        queries_used=int(getattr(oracle, "queries_used", budget)),
-        queried_labels=answers,
-    )
+    return _query_and_propagate(targets, dens, emb, oracle, nearest_higher)
 
 
 def _node_members(dend: Dendrogram) -> dict[int, list[int]]:

@@ -2,13 +2,17 @@
 
 Entries are keyed by a content hash of the points plus the parameters that
 produced them, stored as pickle-free .npz archives carrying a format
-version, so stale layouts are rejected instead of misread.
+version, so stale layouts are rejected instead of misread.  An entry that
+cannot be read (truncated, corrupt) counts as a miss and is overwritten by
+the recomputed result.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import tempfile
+import zipfile
 
 import numpy as np
 
@@ -37,19 +41,30 @@ class DiffusionCache:
         return os.path.join(self.directory, f"{kind}_{key}.npz")
 
     def _load(self, kind: str, key: str):
+        """The entry's arrays, or None when it is missing, stale or unreadable."""
         path = self._path(kind, key)
         if not os.path.exists(path):
             return None
-        with np.load(path, allow_pickle=False) as data:
-            if int(data["format_version"][0]) != FORMAT_VERSION:
-                return None
-            return {name: data[name] for name in data.files}
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                if int(data["format_version"][0]) != FORMAT_VERSION:
+                    return None
+                return {name: data[name] for name in data.files}
+        except (zipfile.BadZipFile, OSError, ValueError, KeyError):
+            return None
 
     def _save(self, kind: str, key: str, **arrays) -> None:
         arrays["format_version"] = np.array([FORMAT_VERSION], dtype=np.int64)
-        path = self._path(kind, key)
-        np.savez(path + ".tmp", **arrays)
-        os.replace(path + ".tmp.npz", path)
+        # a temp file of its own per writer, renamed into place atomically,
+        # so concurrent writers of one entry never mix their bytes
+        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                np.savez(fh, **arrays)
+            os.replace(tmp, self._path(kind, key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def load_neighbors(self, key: str) -> NeighborLists | None:
         data = self._load("nb", key)

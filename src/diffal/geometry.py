@@ -24,8 +24,7 @@ from .dataset import PointCloud
 from .graph import (
     NeighborLists,
     SpectralDecomposition,
-    _BOUNDARY_MARGIN,
-    _exact_row_distances,
+    _exact_search,
     knn_search,
 )
 
@@ -136,12 +135,6 @@ def kde(
     return DensityEstimate(p=p, k_density=int(k_density), sigma0=float(sigma0))
 
 
-def denser_mask(p: np.ndarray, candidates: np.ndarray, i: int) -> np.ndarray:
-    """Mask of candidates strictly denser than i under the lexicographic order."""
-    pc = p[candidates]
-    return (pc > p[i]) | ((pc == p[i]) & (candidates < i))
-
-
 def global_density_maximizer(p: np.ndarray) -> int:
     """Unique top of the density order: maximum p, ties to the smaller index."""
     n = p.shape[0]
@@ -154,53 +147,18 @@ def density_descending_order(p: np.ndarray) -> np.ndarray:
     return np.lexsort((np.arange(n), -p))
 
 
-def _best_denser_candidate(p, i, cand_idx, cand_dist):
-    """(distance, index) of the nearest strictly-denser candidate, or None."""
-    mask = denser_mask(p, cand_idx, i)
-    if not np.any(mask):
-        return None
-    ci = cand_idx[mask]
-    cd = cand_dist[mask]
-    best = np.lexsort((ci, cd))[0]
-    return float(cd[best]), int(ci[best])
-
-
-def _lex_best_per_row(cand_idx, cand_dist, mask, n):
-    """Per-row (distance, index) minimum over masked candidates.
-
-    Rows with nothing masked get (inf, n).  Vectorized lexicographic argmin:
-    distance first, smaller index breaking ties.
-    """
-    d = np.where(mask, cand_dist, np.inf)
-    ix = np.where(mask, cand_idx, n)
-    nrows, m = d.shape
-    rowkey = np.repeat(np.arange(nrows), m)
-    order = np.lexsort((ix.ravel(), d.ravel(), rowkey))
-    firsts = order[np.searchsorted(rowkey[order], np.arange(nrows), side="left")]
-    return d.ravel()[firsts], ix.ravel()[firsts]
-
-
-def _chunked_recompute(coords, rows, cand_idx):
-    """Numpy-exact distances coords[rows[r]] -> coords[cand_idx[r]] per row."""
-    out = np.empty(cand_idx.shape, dtype=np.float64)
-    step = max(1, int(2**24 // max(1, cand_idx.shape[1] * coords.shape[1])))
-    for start in range(0, rows.shape[0], step):
-        stop = min(rows.shape[0], start + step)
-        diff = coords[cand_idx[start:stop]] - coords[rows[start:stop], None, :]
-        out[start:stop] = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return out
-
-
 def nearest_denser_points(
     emb: DiffusionEmbedding, dens: DensityEstimate
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each point, distance and index of its nearest strictly-denser point.
 
     The global density maximizer gets (max distance to any point, itself).
-    Implemented with expanding kd-tree neighbor rounds (the neighbor count
-    grows until the answer is provably complete, falling back to a full
-    scan), so results match a quadratic scan exactly, tie rules included:
-    at equal distance the smaller index wins.
+    Every other point goes through the exact neighbor engine of graph with
+    k = 1 and the strict density order as the acceptance test.  The search
+    starts from max(8, 2 ceil(log2 n) + 2) tree candidates per point and
+    widens fourfold per round, up to a full scan, for the points it cannot
+    yet prove complete.  Results match a quadratic scan exactly, tie rules
+    included: at equal distance the smaller index wins.
     """
     coords = np.ascontiguousarray(emb.coords)
     p = dens.p
@@ -209,39 +167,22 @@ def nearest_denser_points(
         raise ValueError(f"embedding has {coords.shape[0]} rows but density has {n}")
     imax = global_density_maximizer(p)
 
+    def denser(rows, cand):
+        pc, pr = p[cand], p[rows, None]
+        return (pc > pr) | ((pc == pr) & (cand < rows[:, None]))
+
+    rows = np.setdiff1d(np.arange(n), [imax])
+    idx, dist = _exact_search(
+        coords, cKDTree(coords), rows, 1,
+        max(8, 2 * math.ceil(math.log2(n)) + 2), denser,
+    )
     dist_out = np.empty(n, dtype=np.float64)
     idx_out = np.empty(n, dtype=np.int64)
-    dist_out[imax] = float(_exact_row_distances(coords, imax, np.arange(n)).max())
+    dist_out[rows] = dist[:, 0]
+    idx_out[rows] = idx[:, 0]
+    diff = coords - coords[imax]
+    dist_out[imax] = float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max())
     idx_out[imax] = imax
-
-    tree = cKDTree(coords)
-    pending = np.setdiff1d(np.arange(n), [imax])
-    m = min(n, max(8, 2 * math.ceil(math.log2(n)) + 2))
-    while pending.size:
-        if m >= n:
-            # full scan for the stragglers; always conclusive
-            cand = np.broadcast_to(np.arange(n), (pending.size, n))
-            cd = _chunked_recompute(coords, pending, cand)
-            mask = (p[cand] > p[pending, None]) | (
-                (p[cand] == p[pending, None]) & (cand < pending[:, None])
-            )
-            bd, bi = _lex_best_per_row(cand, cd, mask, n)
-            dist_out[pending] = bd
-            idx_out[pending] = bi
-            break
-        qd, qi = tree.query(coords[pending], k=m)
-        qi = np.atleast_2d(qi).astype(np.int64)
-        boundary = np.atleast_2d(qd)[:, -1]
-        cd = _chunked_recompute(coords, pending, qi)
-        mask = (p[qi] > p[pending, None]) | (
-            (p[qi] == p[pending, None]) & (qi < pending[:, None])
-        )
-        bd, bi = _lex_best_per_row(qi, cd, mask, n)
-        done = bd < boundary * (1.0 - _BOUNDARY_MARGIN)
-        dist_out[pending[done]] = bd[done]
-        idx_out[pending[done]] = bi[done]
-        pending = pending[~done]
-        m = min(n, 4 * m)
     return dist_out, idx_out
 
 

@@ -5,10 +5,12 @@ Gaussian kernel matrix symmetrized by entrywise max, row-stochastic
 normalization P = D^(-1) W, and the top eigenpairs of the symmetric
 conjugate D^(-1/2) W D^(-1/2) converted to right eigenvectors of P.
 
-Neighbor searches go through a kd-tree but all reported distances are
-recomputed with plain numpy arithmetic, so results (including tie-breaking
-by smaller index at equal distance) are bitwise identical to a brute-force
-double loop.
+Both exact neighbor searches, kNN here and the nearest-denser search in
+geometry, run on one engine, _exact_search.  It proposes candidates with a
+kd-tree, recomputes every reported distance with plain numpy arithmetic, and
+widens the candidate set fourfold per round (up to a full scan) for the rows
+it cannot yet prove complete.  Results, including tie-breaking by smaller
+index at equal distance, are bitwise identical to a brute-force double loop.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .dataset import PointCloud
 # the tree's distances and numpy's.
 _BOUNDARY_MARGIN = 1e-9
 
-_QUERY_CHUNK = 1024
+# Rows per block of a neighbor search are chosen so the (rows, candidates,
+# dimension) difference array holds about this many elements (32 MiB).
+_BLOCK_ELEMENTS = 2**22
 
 
 class NumericalError(Exception):
@@ -99,63 +103,70 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def _exact_row_distances(points: np.ndarray, row: int, cand: np.ndarray) -> np.ndarray:
-    # einsum reduces sequentially regardless of array shape, so distances
-    # computed here are bitwise identical to any other einsum-based path
-    diff = points[cand] - points[row]
-    return np.sqrt(np.einsum("...i,...i->...", diff, diff))
+def _exact_search(coords, tree, rows, k, m, accept):
+    """The k accepted points nearest each of coords[rows], as (indices, distances).
 
-
-def _resolve_knn_row(points, tree, row, k, n, cand_idx, cand_dist, boundary, m):
-    """Return the exact k nearest (indices, distances) for one row, expanding
-    the candidate set whenever ties at the boundary make it inconclusive."""
-    while True:
-        keep = cand_idx != row
-        ci = cand_idx[keep]
-        cd = cand_dist[keep]
-        if ci.size >= k:
-            order = np.lexsort((ci, cd))
-            kth = cd[order[k - 1]]
-            if m >= n or kth < boundary * (1.0 - _BOUNDARY_MARGIN):
-                sel = order[:k]
-                return ci[sel], cd[sel]
-        m = min(n, max(2 * m, k + 2))
-        qd, qi = tree.query(points[row], k=m)
-        cand_idx = np.atleast_1d(qi).astype(np.int64)
-        cand_dist = _exact_row_distances(points, row, cand_idx)
-        boundary = float(np.atleast_1d(qd)[-1])
+    Each round asks the kd-tree for m candidates per pending row, recomputes
+    their distances with numpy, masks them with accept(rows, cand), and
+    keeps the k smallest per row by (distance, index).  A row is finished
+    once its k-th distance lies below the tree's m-th distance by the
+    boundary margin, since no point outside the candidates can then be
+    closer.  The other rows go to the next round with 4m candidates; once
+    m reaches n a full scan finishes them.  Every row must have at least k
+    acceptable points.
+    """
+    n, dim = coords.shape
+    out_idx = np.empty((rows.size, k), dtype=np.int64)
+    out_dist = np.empty((rows.size, k), dtype=np.float64)
+    pending = np.arange(rows.size)
+    while pending.size:
+        m = min(n, m)
+        step = max(1, _BLOCK_ELEMENTS // (m * dim))
+        unfinished = []
+        for start in range(0, pending.size, step):
+            pos = pending[start:start + step]
+            r = rows[pos]
+            if m == n:
+                cand, bound = np.broadcast_to(np.arange(n), (r.size, n)), np.inf
+            else:
+                qd, cand = tree.query(coords[r], k=m)
+                bound = qd[:, -1] * (1.0 - _BOUNDARY_MARGIN)
+            # einsum reduces sequentially whatever the array shape, so these
+            # distances are bitwise identical to a brute-force double loop
+            diff = coords[cand] - coords[r, None, :]
+            dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            ok = accept(r, cand)
+            dist = np.where(ok, dist, np.inf)
+            idx = np.where(ok, cand, n)
+            order = np.lexsort((idx, dist), axis=1)[:, :k]
+            best_dist = np.take_along_axis(dist, order, axis=1)
+            best_idx = np.take_along_axis(idx, order, axis=1)
+            done = (m == n) | (best_dist[:, -1] < bound)
+            out_idx[pos[done]] = best_idx[done]
+            out_dist[pos[done]] = best_dist[done]
+            unfinished.append(pos[~done])
+        pending = np.concatenate(unfinished)
+        m *= 4
+    return out_idx, out_dist
 
 
 def knn_search(cloud: PointCloud, k: int) -> NeighborLists:
     """Exact k nearest neighbors in Euclidean distance.
 
     Distance ties are broken by smaller index, so the output is
-    deterministic and matches a brute-force scan exactly.
+    deterministic and matches a brute-force scan exactly.  The search
+    starts from k + 2 tree candidates, one for the point itself and one
+    beyond the k-th neighbor to prove it.
     """
     n = cloud.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     points = cloud.points
-    tree = cKDTree(points)
-    m = min(n, k + 1)
-
-    out_idx = np.empty((n, k), dtype=np.int64)
-    out_dist = np.empty((n, k), dtype=np.float64)
-    for start in range(0, n, _QUERY_CHUNK):
-        stop = min(n, start + _QUERY_CHUNK)
-        qd, qi = tree.query(points[start:stop], k=m)
-        qd = np.atleast_2d(qd)
-        qi = np.atleast_2d(qi).astype(np.int64)
-        diff = points[qi] - points[start:stop, None, :]
-        nd = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-        for local in range(stop - start):
-            row = start + local
-            idx, dist = _resolve_knn_row(
-                points, tree, row, k, n, qi[local], nd[local], float(qd[local, -1]), m
-            )
-            out_idx[row] = idx
-            out_dist[row] = dist
-    return NeighborLists(indices=out_idx, distances=out_dist)
+    idx, dist = _exact_search(
+        points, cKDTree(points), np.arange(n), k, k + 2,
+        lambda rows, cand: cand != rows[:, None],
+    )
+    return NeighborLists(indices=idx, distances=dist)
 
 
 def kernel_matrix(nb: NeighborLists, sigma: float) -> SparseKernelMatrix:

@@ -116,6 +116,44 @@ class ActiveResult:
         return np.unique(self.queried_labels)
 
 
+def _query_and_propagate(
+    targets: np.ndarray,
+    dens: DensityEstimate,
+    emb: DiffusionEmbedding,
+    oracle,
+    nearest_higher: np.ndarray | None,
+) -> ActiveResult:
+    """Ask the oracle about each target in turn, then propagate the answers.
+
+    If the oracle refuses a query mid-run the partial query trail is
+    attached to the raised BudgetExceededError.
+    """
+    budget = targets.shape[0]
+    seeds = np.zeros(dens.n, dtype=np.int64)
+    answers = np.zeros(budget, dtype=np.int64)
+    for pos, idx in enumerate(targets):
+        try:
+            label = int(oracle.query(int(idx)))
+        except BudgetExceededError as exc:
+            err = BudgetExceededError(
+                f"oracle refused query {pos + 1} of {budget} (point {int(idx)})"
+            )
+            err.queried_indices = targets[:pos].copy()
+            err.partial_labels = seeds.copy()
+            raise err from exc
+        if label < 1:
+            raise ValueError(f"oracle returned invalid class id {label} for point {int(idx)}")
+        seeds[idx] = label
+        answers[pos] = label
+    labels = propagate_labels(seeds, dens, emb, nearest_higher=nearest_higher)
+    return ActiveResult(
+        labels=labels,
+        queried_indices=targets,
+        queries_used=int(getattr(oracle, "queries_used", budget)),
+        queried_labels=answers,
+    )
+
+
 def land(
     scores: ModeScores,
     dens: DensityEstimate,
@@ -133,26 +171,4 @@ def land(
     if not 1 <= budget <= n:
         raise ValueError(f"need 1 <= budget <= n, got budget={budget}, n={n}")
     targets = scores.order[:budget].copy()
-    seeds = np.zeros(n, dtype=np.int64)
-    answers = np.zeros(budget, dtype=np.int64)
-    for pos, idx in enumerate(targets):
-        try:
-            label = int(oracle.query(int(idx)))
-        except BudgetExceededError as exc:
-            err = BudgetExceededError(
-                f"oracle refused query {pos + 1} of {budget} (point {int(idx)})"
-            )
-            err.queried_indices = targets[:pos].copy()
-            err.partial_labels = seeds.copy()
-            raise err from exc
-        if label < 1:
-            raise ValueError(f"oracle returned invalid class id {label} for point {int(idx)}")
-        seeds[idx] = label
-        answers[pos] = label
-    labels = propagate_labels(seeds, dens, emb, nearest_higher=scores.nearest_higher)
-    return ActiveResult(
-        labels=labels,
-        queried_indices=targets,
-        queries_used=int(getattr(oracle, "queries_used", budget)),
-        queried_labels=answers,
-    )
+    return _query_and_propagate(targets, dens, emb, oracle, scores.nearest_higher)

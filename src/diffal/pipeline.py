@@ -24,7 +24,6 @@ from .geometry import (
     rho,
 )
 from .graph import (
-    MarkovChain,
     NeighborLists,
     SpectralDecomposition,
     default_num_eigs,
@@ -45,7 +44,6 @@ MIN_EIGENVALUE_MAGNITUDE = 1e-8
 class DiffusionModel:
     cloud: PointCloud
     neighbors: NeighborLists
-    chain: MarkovChain
     spectrum: SpectralDecomposition
     density: DensityEstimate
     sigma: float
@@ -126,15 +124,12 @@ def build_model(
         spectrum = spectral_decompose(chain, num_eigs, tol=eig_tol, ncv=eig_ncv)
         if cache is not None:
             cache.save_spectrum(eig_key, spectrum)
-    else:
-        chain = markov_normalize(kernel_matrix(graph_nb, sigma))
     spectrum = truncate_small_eigenvalues(spectrum, MIN_EIGENVALUE_MAGNITUDE)
 
     density = kde(cloud, k_density, sigma0, neighbors=neighbors)
     return DiffusionModel(
         cloud=cloud,
         neighbors=neighbors,
-        chain=chain,
         spectrum=spectrum,
         density=density,
         sigma=float(sigma),

@@ -7,6 +7,7 @@ import scipy.sparse.csgraph as csgraph
 
 import diffal as da
 from diffal.baselines import save_merges_csv
+from diffal.land import BudgetExceededError
 
 
 def brute_force_linkage(points, method):
@@ -182,6 +183,26 @@ class TestLandRandom:
         result = da.land_random(model.density, emb, 7, oracle, seed=3)
         assert oracle.queries_used == 7
         assert len(np.unique(result.queried_indices)) == 7
+
+    def test_budget_exhaustion_aborts_with_partial_trail(self):
+        model, emb, scores, truth = self._setup()
+        oracle = da.ground_truth_oracle(truth, 2)
+        with pytest.raises(BudgetExceededError) as excinfo:
+            da.land_random(model.density, emb, 5, oracle, seed=4)
+        trail = excinfo.value.queried_indices
+        assert len(trail) == 2
+        partial = excinfo.value.partial_labels
+        assert np.array_equal(np.flatnonzero(partial), np.sort(trail))
+        assert np.array_equal(partial[trail], truth[trail])
+
+    def test_rejects_class_ids_below_one(self):
+        class ZeroOracle:
+            def query(self, index):
+                return 0
+
+        model, emb, scores, truth = self._setup()
+        with pytest.raises(ValueError, match="invalid class id 0"):
+            da.land_random(model.density, emb, 3, ZeroOracle(), seed=4)
 
 
 class TestCbal:

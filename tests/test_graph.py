@@ -247,6 +247,28 @@ class TestSpectralDecompose:
 
 
 class TestCache:
+    def test_truncated_entries_are_recomputed(self, tmp_path):
+        rng = np.random.default_rng(27)
+        cloud = da.PointCloud(rng.normal(size=(100, 2)))
+        cold = da.build_model(cloud, k=6)
+        da.build_model(cloud, k=6, cache_dir=tmp_path)  # populates
+        entries = sorted(tmp_path.glob("*.npz"))
+        assert len(entries) == 2
+        for path in entries:
+            data = path.read_bytes()
+            path.write_bytes(data[: len(data) // 2])
+        rebuilt = da.build_model(cloud, k=6, cache_dir=tmp_path)
+        assert np.array_equal(rebuilt.neighbors.indices, cold.neighbors.indices)
+        assert np.array_equal(rebuilt.neighbors.distances, cold.neighbors.distances)
+        assert np.array_equal(rebuilt.spectrum.eigenvalues, cold.spectrum.eigenvalues)
+        assert np.array_equal(rebuilt.spectrum.basis, cold.spectrum.basis)
+        assert np.array_equal(rebuilt.density.p, cold.density.p)
+        # the unreadable entries were overwritten and no temp file is left
+        assert sorted(tmp_path.iterdir()) == entries
+        cache = da.DiffusionCache(tmp_path)
+        key = da.content_key(cloud.points, kind="neighbors", k=6)
+        assert np.array_equal(cache.load_neighbors(key).indices, cold.neighbors.indices)
+
     def test_neighbor_roundtrip(self, tmp_path):
         rng = np.random.default_rng(24)
         cloud = da.PointCloud(rng.normal(size=(30, 3)))
