@@ -6,6 +6,10 @@ memory) and picks each merge by the smallest height, breaking ties by the
 smaller minimum original point index of the merged pair, then by the other
 cluster's minimum index.  That rule makes merge sequences reproducible
 across implementations.
+
+Dendrogram cuts number their clusters 1..L by each cluster's smallest
+member index.  cut_sequence keeps that smallest member per point while it
+replays the merges, so a cut is one np.unique over that vector.
 """
 
 from __future__ import annotations
@@ -91,80 +95,39 @@ def linkage(cloud: PointCloud, method: str) -> Dendrogram:
     return Dendrogram(children_a=ch_a, children_b=ch_b, heights=heights, n_leaves=n)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = np.arange(n, dtype=np.int64)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return int(root)
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
-def _leaf_reps(dend: Dendrogram, n_merges_applied: int) -> np.ndarray:
-    """Component representative per point after applying a merge prefix."""
-    n = dend.n_leaves
-    uf = _UnionFind(n)
-    cluster_rep = {i: i for i in range(n)}
-    for s in range(n_merges_applied):
-        ra = cluster_rep.pop(int(dend.children_a[s]))
-        rb = cluster_rep.pop(int(dend.children_b[s]))
-        uf.union(ra, rb)
-        cluster_rep[n + s] = uf.find(ra)
-    return np.array([uf.find(i) for i in range(n)], dtype=np.int64)
-
-
-def _reps_to_labels(reps: np.ndarray) -> np.ndarray:
-    """Cluster ids 1..L assigned in order of each cluster's smallest member."""
-    n = reps.shape[0]
-    first_member = {}
-    for i in range(n):
-        first_member.setdefault(int(reps[i]), i)
-    ranked = sorted(first_member, key=first_member.get)
-    mapping = {rep: rank + 1 for rank, rep in enumerate(ranked)}
-    return np.array([mapping[int(r)] for r in reps], dtype=np.int64)
-
-
 def cut(dend: Dendrogram, num_clusters: int) -> np.ndarray:
     """Partition into exactly num_clusters clusters by undoing the last merges.
 
     Returns labels 1..num_clusters, numbered by each cluster's smallest
     member index.
     """
-    n = dend.n_leaves
-    if not 1 <= num_clusters <= n:
-        raise ValueError(f"need 1 <= num_clusters <= n, got {num_clusters}")
-    return _reps_to_labels(_leaf_reps(dend, n - num_clusters))
+    return cut_sequence(dend, [num_clusters])[0]
 
 
 def cut_sequence(dend: Dendrogram, levels) -> list[np.ndarray]:
-    """cut() for many levels in one incremental pass (levels need not be sorted)."""
+    """cut() for many levels in one pass over the merges (levels need not be sorted).
+
+    Every point carries the smallest member index of its current cluster, so
+    a merge relabels the larger of the two smallest members to the other,
+    and ranking those values yields the labels numbered by smallest member.
+    """
     n = dend.n_leaves
     levels = list(levels)
     for ell in levels:
         if not 1 <= ell <= n:
             raise ValueError(f"need 1 <= level <= n, got {ell}")
-    wanted = sorted(set(levels), reverse=True)  # fewest merges first
-    uf = _UnionFind(n)
-    cluster_rep = {i: i for i in range(n)}
+    low = np.empty(n + dend.n_merges, dtype=np.int64)  # smallest member per cluster id
+    low[:n] = np.arange(n)
+    comp = np.arange(n, dtype=np.int64)
     out: dict[int, np.ndarray] = {}
     applied = 0
-    for ell in wanted:
-        target = n - ell
-        while applied < target:
-            ra = cluster_rep.pop(int(dend.children_a[applied]))
-            rb = cluster_rep.pop(int(dend.children_b[applied]))
-            uf.union(ra, rb)
-            cluster_rep[n + applied] = uf.find(ra)
+    for ell in sorted(set(levels), reverse=True):  # fewest merges first
+        while applied < n - ell:
+            a, b = sorted((low[dend.children_a[applied]], low[dend.children_b[applied]]))
+            comp[comp == b] = a
+            low[n + applied] = a
             applied += 1
-        reps = np.array([uf.find(i) for i in range(n)], dtype=np.int64)
-        out[ell] = _reps_to_labels(reps)
+        out[ell] = np.unique(comp, return_inverse=True)[1].astype(np.int64) + 1
     return [out[ell] for ell in levels]
 
 

@@ -214,7 +214,7 @@ _DENSE_EIG_CUTOFF = 300
 _SHIFT_OUTSIDE = 1.0 + 1e-6
 
 
-def _sparse_eigensolve(S, num_eigs: int, tol: float, ncv: int | None):
+def _sparse_eigensolve(S, num_eigs: int):
     """Top-by-modulus eigenpairs of S via shift-invert Lanczos.
 
     The eigenvalues nearest a shift just above +1 are the largest algebraic
@@ -229,10 +229,10 @@ def _sparse_eigensolve(S, num_eigs: int, tol: float, ncv: int | None):
     try:
         Sc = S.tocsc()
         vals_hi, vecs_hi = splinalg.eigsh(
-            Sc, k=num_eigs, sigma=_SHIFT_OUTSIDE, which="LM", v0=v0, tol=tol
+            Sc, k=num_eigs, sigma=_SHIFT_OUTSIDE, which="LM", v0=v0
         )
     except (RuntimeError, MemoryError):
-        return splinalg.eigsh(S, k=num_eigs, which="LM", v0=v0, tol=tol, ncv=ncv)
+        return splinalg.eigsh(S, k=num_eigs, which="LM", v0=v0)
 
     kept_min = float(np.min(np.abs(vals_hi)))
     probe_tol = 1e-3
@@ -251,17 +251,12 @@ def _sparse_eigensolve(S, num_eigs: int, tol: float, ncv: int | None):
         return vals_hi, vecs_hi
 
     vals_lo, vecs_lo = splinalg.eigsh(
-        Sc, k=num_eigs, sigma=sigma_lo, which="LM", v0=v0, tol=tol
+        Sc, k=num_eigs, sigma=sigma_lo, which="LM", v0=v0
     )
     return np.concatenate([vals_hi, vals_lo]), np.hstack([vecs_hi, vecs_lo])
 
 
-def spectral_decompose(
-    mc: MarkovChain,
-    num_eigs: int,
-    tol: float = 0.0,
-    ncv: int | None = None,
-) -> SpectralDecomposition:
+def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
     """Top num_eigs eigenpairs of P by eigenvalue modulus.
 
     Solved through the symmetric conjugate D^(-1/2) W D^(-1/2): dense
@@ -269,8 +264,7 @@ def spectral_decompose(
     otherwise shift-invert Lanczos (iteration counts stay flat as n grows
     because the factorization concentrates the spectrum ends).  Eigenvectors
     are converted to right eigenvectors of P by dividing by
-    sqrt(stationary).  tol=0 means machine precision; ncv sizes the Lanczos
-    basis of the direct fallback.
+    sqrt(stationary).  Every path solves to machine precision.
     """
     n = mc.n
     if not 1 <= num_eigs <= n:
@@ -282,7 +276,7 @@ def spectral_decompose(
         evals, evecs = scipy.linalg.eigh(S.toarray())
     else:
         try:
-            evals, evecs = _sparse_eigensolve(S, num_eigs, tol, ncv)
+            evals, evecs = _sparse_eigensolve(S, num_eigs)
         except splinalg.ArpackNoConvergence as exc:
             got = 0 if exc.eigenvalues is None else len(exc.eigenvalues)
             raise NumericalError(

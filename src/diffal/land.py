@@ -22,17 +22,15 @@ class BudgetExceededError(Exception):
     """A query was attempted beyond the oracle's budget."""
 
 
-class GroundTruthOracle:
-    """Answers queries from a fully labeled ground-truth vector.
+class _MemoOracle:
+    """Budget and memo shared by the oracles.
 
     Distinct indices count against the budget once; repeated queries of the
-    same index return the memoized answer for free.
+    same index return the memoized answer for free.  Subclasses supply the
+    answer for a new index in _ask.
     """
 
-    def __init__(self, truth: np.ndarray, budget: int):
-        self.truth = validate_labels(truth, complete=True)
-        if budget < 0:
-            raise ValueError(f"budget must be non-negative, got {budget}")
+    def __init__(self, budget: int):
         self.budget = int(budget)
         self._answers: dict[int, int] = {}
 
@@ -48,16 +46,32 @@ class GroundTruthOracle:
             raise BudgetExceededError(
                 f"budget of {self.budget} distinct queries exhausted"
             )
-        label = int(self.truth[index])
+        label = self._ask(index)
         self._answers[index] = label
         return label
+
+    def _ask(self, index: int) -> int:
+        raise NotImplementedError
+
+
+class GroundTruthOracle(_MemoOracle):
+    """Answers queries from a fully labeled ground-truth vector."""
+
+    def __init__(self, truth: np.ndarray, budget: int):
+        self.truth = validate_labels(truth, complete=True)
+        if budget < 0:
+            raise ValueError(f"budget must be non-negative, got {budget}")
+        super().__init__(budget)
+
+    def _ask(self, index: int) -> int:
+        return int(self.truth[index])
 
 
 def ground_truth_oracle(truth: np.ndarray, budget: int) -> GroundTruthOracle:
     return GroundTruthOracle(truth, budget)
 
 
-class InteractiveOracle:
+class InteractiveOracle(_MemoOracle):
     """Console oracle: one prompt line "QUERY <index>", one reply line "<label>".
 
     Coordinates of the queried point, when available, go to the info stream
@@ -66,25 +80,13 @@ class InteractiveOracle:
 
     def __init__(self, budget, input_stream=None, output_stream=None,
                  info_stream=None, points=None):
-        self.budget = int(budget)
+        super().__init__(budget)
         self._in = input_stream if input_stream is not None else sys.stdin
         self._out = output_stream if output_stream is not None else sys.stdout
         self._info = info_stream if info_stream is not None else sys.stderr
         self._points = points
-        self._answers: dict[int, int] = {}
 
-    @property
-    def queries_used(self) -> int:
-        return len(self._answers)
-
-    def query(self, index: int) -> int:
-        index = int(index)
-        if index in self._answers:
-            return self._answers[index]
-        if self.queries_used >= self.budget:
-            raise BudgetExceededError(
-                f"budget of {self.budget} distinct queries exhausted"
-            )
+    def _ask(self, index: int) -> int:
         if self._points is not None:
             coords = ",".join(repr(float(v)) for v in self._points[index])
             print(f"point {index} at ({coords})", file=self._info)
@@ -99,7 +101,6 @@ class InteractiveOracle:
             raise ValueError(f"oracle reply {line.strip()!r} is not an integer") from None
         if label < 1:
             raise ValueError(f"oracle reply must be a class id >= 1, got {label}")
-        self._answers[index] = label
         return label
 
 

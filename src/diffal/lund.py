@@ -22,7 +22,6 @@ from .geometry import (
     DiffusionEmbedding,
     ModeScores,
     density_descending_order,
-    global_density_maximizer,
     nearest_denser_points,
 )
 

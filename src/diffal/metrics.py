@@ -43,11 +43,9 @@ def _evaluable(pred, truth) -> tuple[np.ndarray, np.ndarray]:
 
 def confusion_matrix(pred, truth) -> ConfusionMatrix:
     p, t = _evaluable(pred, truth)
-    ids = np.union1d(np.unique(p), np.unique(t))
-    lookup = {int(c): i for i, c in enumerate(ids)}
+    ids = np.union1d(p, t)
     counts = np.zeros((ids.size, ids.size), dtype=np.int64)
-    for pi, ti in zip(p, t):
-        counts[lookup[int(ti)], lookup[int(pi)]] += 1
+    np.add.at(counts, (np.searchsorted(ids, t), np.searchsorted(ids, p)), 1)
     return ConfusionMatrix(counts=counts, class_ids=ids)
 
 
@@ -99,26 +97,27 @@ def align_labels(pred, truth) -> np.ndarray:
     true_ids = np.unique(truth[mask]) if np.any(mask) else np.array([], dtype=np.int64)
 
     agree = np.zeros((pred_ids.size, true_ids.size), dtype=np.int64)
-    p_lookup = {int(c): i for i, c in enumerate(pred_ids)}
-    t_lookup = {int(c): i for i, c in enumerate(true_ids)}
-    for pi, ti in zip(pred[mask], truth[mask]):
-        agree[p_lookup[int(pi)], t_lookup[int(ti)]] += 1
+    np.add.at(
+        agree,
+        (np.searchsorted(pred_ids, pred[mask]), np.searchsorted(true_ids, truth[mask])),
+        1,
+    )
 
     side = max(pred_ids.size, true_ids.size)
     padded = np.zeros((side, side), dtype=np.int64)
     padded[: pred_ids.size, : true_ids.size] = agree
     row_ind, col_ind = linear_sum_assignment(padded, maximize=True)
 
-    mapping: dict[int, int] = {}
-    for r, c in zip(row_ind, col_ind):
-        if r < pred_ids.size and c < true_ids.size:
-            mapping[int(pred_ids[r])] = int(true_ids[c])
+    # new_ids[r] is the renamed id of pred_ids[r]; true ids are >= 1, so 0
+    # marks the unmatched ones, numbered upward past the truth alphabet in
+    # order of their old id
+    new_ids = np.zeros(pred_ids.size, dtype=np.int64)
+    matched = (row_ind < pred_ids.size) & (col_ind < true_ids.size)
+    new_ids[row_ind[matched]] = true_ids[col_ind[matched]]
+    unmatched = new_ids == 0
     fresh = int(true_ids.max()) + 1 if true_ids.size else 1
-    for c in pred_ids:
-        if int(c) not in mapping:
-            mapping[int(c)] = fresh
-            fresh += 1
-    return np.array([mapping[int(c)] for c in pred], dtype=np.int64)
+    new_ids[unmatched] = fresh + np.arange(np.count_nonzero(unmatched))
+    return new_ids[np.searchsorted(pred_ids, pred)]
 
 
 def purity(clustering, truth) -> float:
@@ -135,9 +134,3 @@ def purity_curve(family, truth) -> np.ndarray:
     """Purity of each clustering in an iterable family (e.g. dendrogram cuts)."""
     return np.array([purity(labels, truth) for labels in family], dtype=np.float64)
 
-
-def save_purity_curve_csv(path, levels, purities, method: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("level,purity,method\n")
-        for ell, value in zip(levels, purities):
-            fh.write(f"{int(ell)},{float(value)!r},{method}\n")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import DiffusionCache, content_key
-from .dataset import PointCloud
+from .dataset import DataError, PointCloud
 from .geometry import (
     DensityEstimate,
     DiffusionEmbedding,
@@ -65,49 +65,47 @@ def build_model(
     cloud: PointCloud,
     k: int | None = None,
     sigma: float | None = None,
-    k_density: int | None = None,
     sigma0: float | None = None,
     num_eigs: int | None = None,
     cache_dir=None,
-    eig_tol: float = 0.0,
-    eig_ncv: int | None = None,
 ) -> DiffusionModel:
     """Build the full diffusion model with self-tuning defaults.
 
     Defaults: k = max(20, ceil(log2 n)) capped below n; sigma = mean k-th
-    neighbor distance; the density estimate reuses the graph's k and sigma;
-    num_eigs = 25 with eigenpairs below 1e-8 in modulus dropped.  eig_tol
-    and eig_ncv are passed to the eigensolver (performance knobs for large
-    graphs; the defaults solve to machine precision).
+    neighbor distance; the density estimate reuses the graph's k neighbors
+    and, unless sigma0 is given, its sigma; num_eigs = 25 with eigenpairs
+    below 1e-8 in modulus dropped.  The eigensolver works to machine
+    precision.  A default sigma of 0 (every k-th neighbor distance is 0)
+    is a DataError; an explicit sigma <= 0 is a ValueError.
     """
     n = cloud.n
     if n < 2:
         raise ValueError("diffusion model needs at least two points")
     if k is None:
         k = default_num_neighbors(n)
-    if k_density is None:
-        k_density = k
     if num_eigs is None:
         num_eigs = default_num_eigs(n)
 
     cache = DiffusionCache(cache_dir) if cache_dir is not None else None
-    search_k = max(k, k_density)
 
     neighbors = None
     nb_key = None
     if cache is not None:
-        nb_key = content_key(cloud.points, kind="neighbors", k=search_k)
+        nb_key = content_key(cloud.points, kind="neighbors", k=k)
         neighbors = cache.load_neighbors(nb_key)
     if neighbors is None:
-        neighbors = knn_search(cloud, search_k)
+        neighbors = knn_search(cloud, k)
         if cache is not None:
             cache.save_neighbors(nb_key, neighbors)
 
-    graph_nb = NeighborLists(
-        indices=neighbors.indices[:, :k], distances=neighbors.distances[:, :k]
-    )
     if sigma is None:
-        sigma = default_sigma(graph_nb)
+        sigma = default_sigma(neighbors)
+        if sigma == 0:
+            raise DataError(
+                f"default sigma is 0: every point's {k}-th nearest neighbor is an exact "
+                f"duplicate (each point occurs more than {k} times); deduplicate the "
+                "data or pass --sigma"
+            )
     if sigma0 is None:
         sigma0 = sigma
 
@@ -115,18 +113,17 @@ def build_model(
     eig_key = None
     if cache is not None:
         eig_key = content_key(
-            cloud.points, kind="spectrum", k=k, sigma=sigma, num_eigs=num_eigs,
-            eig_tol=eig_tol, eig_ncv=eig_ncv,
+            cloud.points, kind="spectrum", k=k, sigma=sigma, num_eigs=num_eigs
         )
         spectrum = cache.load_spectrum(eig_key)
     if spectrum is None:
-        chain = markov_normalize(kernel_matrix(graph_nb, sigma))
-        spectrum = spectral_decompose(chain, num_eigs, tol=eig_tol, ncv=eig_ncv)
+        chain = markov_normalize(kernel_matrix(neighbors, sigma))
+        spectrum = spectral_decompose(chain, num_eigs)
         if cache is not None:
             cache.save_spectrum(eig_key, spectrum)
     spectrum = truncate_small_eigenvalues(spectrum, MIN_EIGENVALUE_MAGNITUDE)
 
-    density = kde(cloud, k_density, sigma0, neighbors=neighbors)
+    density = kde(cloud, k, sigma0, neighbors=neighbors)
     return DiffusionModel(
         cloud=cloud,
         neighbors=neighbors,

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffal as da
 from diffal.baselines import save_merges_csv
@@ -140,6 +142,51 @@ class TestCut:
             purities = da.purity_curve(cuts, truth)
             assert np.all(np.diff(purities) >= -1e-15)
             assert purities[-1] == 1.0
+
+
+def reference_cuts(dend, levels):
+    """Independent cut oracle: replay each merge prefix with Python sets and
+    number the clusters 1..L by their smallest member."""
+    n = dend.n_leaves
+    out = []
+    for ell in levels:
+        clusters = {i: {i} for i in range(n)}
+        for s in range(n - ell):
+            a, b = int(dend.children_a[s]), int(dend.children_b[s])
+            clusters[n + s] = clusters.pop(a) | clusters.pop(b)
+        labels = np.zeros(n, dtype=np.int64)
+        for rank, members in enumerate(sorted(clusters.values(), key=min), start=1):
+            labels[list(members)] = rank
+        out.append(labels)
+    return out
+
+
+@st.composite
+def grid_dendrograms(draw):
+    """A linkage tree over a tie-heavy integer grid with duplicate points,
+    plus an unsorted level list with repeats."""
+    dim = draw(st.integers(1, 2))
+    points = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+        min_size=2, max_size=25,
+    ))
+    method = draw(st.sampled_from(["single", "average"]))
+    dend = da.linkage(da.PointCloud(np.array(points, dtype=float)), method)
+    levels = draw(st.lists(st.integers(1, len(points)), min_size=1, max_size=8))
+    return dend, levels
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_dendrograms())
+def test_cuts_equal_set_replay(dend_and_levels):
+    dend, levels = dend_and_levels
+    expected = reference_cuts(dend, levels)
+    got = da.cut_sequence(dend, levels)
+    assert len(got) == len(levels)
+    for labels, want, ell in zip(got, expected, levels):
+        assert labels.dtype == np.int64
+        assert np.array_equal(labels, want)
+        assert np.array_equal(da.cut(dend, ell), want)
 
 
 class TestLandRandom:

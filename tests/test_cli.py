@@ -256,6 +256,16 @@ class TestConfigAndExitCodes:
         ) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_duplicate_points_are_a_data_error(self, tmp_path, capsys):
+        base = np.random.default_rng(29).normal(size=(20, 3))
+        points = tmp_path / "dups.csv"
+        da.save_csv(points, da.PointCloud(np.repeat(base, 30, axis=0)))
+        assert run_cli("build-graph", "--data", str(points)) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("data error:") and "\n" not in err
+        assert run_cli("build-graph", "--data", str(points), "--sigma", "0") == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_flag_overrides_config(self, tmp_path):
         path = tmp_path / "cfg"
         path.write_text("dataset = geometric\ndata_seed = 1\n")

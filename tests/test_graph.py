@@ -246,6 +246,24 @@ class TestSpectralDecompose:
         assert da.truncate_small_eigenvalues(spec, 0.0).num_eigs == 4
 
 
+class TestDuplicatePoints:
+    """20 distinct points with 30 copies each: every point's k-th neighbor
+    (k = 20 by default) is an exact duplicate, so the default sigma is 0."""
+
+    @staticmethod
+    def _cloud():
+        base = np.random.default_rng(28).normal(size=(20, 3))
+        return da.PointCloud(np.repeat(base, 30, axis=0))
+
+    def test_zero_default_sigma_is_a_data_error(self):
+        with pytest.raises(da.DataError, match="deduplicate the data or pass --sigma"):
+            da.build_model(self._cloud())
+
+    def test_explicit_nonpositive_sigma_stays_a_value_error(self):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            da.build_model(self._cloud(), sigma=0.0)
+
+
 class TestCache:
     def test_truncated_entries_are_recomputed(self, tmp_path):
         rng = np.random.default_rng(27)
