@@ -128,8 +128,8 @@ def _sha256_of(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-def resolve_dataset(cfg: dict) -> tuple[PointCloud, np.ndarray, str]:
-    """Generator datasets come with truth; file datasets need a truth path."""
+def _generate(cfg: dict) -> tuple[PointCloud, np.ndarray]:
+    """Points and truth of the generator named by cfg["dataset"]."""
     name = cfg["dataset"]
     seed = cfg.get("data_seed", 0)
     if name == "gaussians":
@@ -141,28 +141,36 @@ def resolve_dataset(cfg: dict) -> tuple[PointCloud, np.ndarray, str]:
         else:
             means = [[0.0, 0.0], [5.0, 0.0], [2.5, 4.33]]
         sizes = _parse_int_list(cfg.get("sizes", ",".join("500" for _ in means)), "sizes")
-        cloud, truth = gen_gaussians(means, cfg.get("stddev", 0.5), sizes, seed)
-    elif name == "hierarchical":
-        cloud, truth, _ = gen_hierarchical(
-            seed, cfg.get("per_cluster", 500), cfg.get("stddev", 0.2)
-        )
-    elif name == "geometric":
-        sizes = _parse_int_list(cfg.get("sizes", "500,500,500"), "sizes")
-        cloud, truth = gen_geometric(seed, sizes)
-    elif name == "bottleneck":
-        sizes = _parse_int_list(cfg.get("sizes", "700,700,60"), "sizes")
-        cloud, truth = gen_bottleneck(seed, sizes)
+        return gen_gaussians(means, cfg.get("stddev", 0.5), sizes, seed)
+    if name == "hierarchical":
+        return gen_hierarchical(seed, cfg.get("per_cluster", 500), cfg.get("stddev", 0.2))[:2]
+    if name == "geometric":
+        return gen_geometric(seed, _parse_int_list(cfg.get("sizes", "500,500,500"), "sizes"))
+    return gen_bottleneck(seed, _parse_int_list(cfg.get("sizes", "700,700,60"), "sizes"))
+
+
+def resolve_dataset(cfg: dict, args=None) -> tuple[PointCloud, np.ndarray | None, str]:
+    """The one reader of inputs: (cloud, truth, name).
+
+    Points come from the --data flag when given (a CSV file, or a raw cube
+    with --hsi-header), else from cfg["dataset"] (a generator name or a CSV
+    path).  Generators bring their own truth; file inputs take it from
+    cfg["truth"], None when absent, checked against the point count.
+    """
+    data = getattr(args, "data", None)
+    if data is None and cfg["dataset"] in GENERATORS:
+        return (*_generate(cfg), cfg["dataset"])
+    path = cfg["dataset"] if data is None else data
+    header = getattr(args, "hsi_header", None)
+    if header:
+        cloud = load_hsi_cube(path, load_hsi_header(header),
+                              standardize=getattr(args, "standardize", False))
     else:
-        cloud = load_csv(name)
-        if "truth" not in cfg:
-            raise ConfigError("file datasets need a `truth` labels path")
-        truth = load_labels(cfg["truth"])
-        if truth.shape[0] != cloud.n:
-            raise DataError(
-                f"truth has {truth.shape[0]} labels for {cloud.n} points"
-            )
-        name = os.path.basename(str(name))
-    return cloud, truth, name
+        cloud = load_csv(path)
+    truth = load_labels(cfg["truth"]) if "truth" in cfg else None
+    if truth is not None and truth.shape[0] != cloud.n:
+        raise DataError(f"truth has {truth.shape[0]} labels for {cloud.n} points")
+    return cloud, truth, os.path.basename(str(path))
 
 
 def build_model_from_config(cfg: dict, cloud: PointCloud) -> DiffusionModel:
@@ -176,11 +184,16 @@ def build_model_from_config(cfg: dict, cloud: PointCloud) -> DiffusionModel:
     )
 
 
-def choose_time(model: DiffusionModel, cfg: dict, num_classes: int) -> float:
+def _num_classes(truth: np.ndarray) -> int:
+    return int(np.unique(truth[truth > 0]).size)
+
+
+def choose_time(model: DiffusionModel, cfg: dict, truth: np.ndarray | None) -> float:
     """Resolve the diffusion time: explicit value, or the K-matching scan.
 
     "auto" scans a log10 grid and picks the median time whose estimated
-    cluster count equals num_classes (no labels are consulted).
+    cluster count equals the number of classes in truth (only that count
+    is read from the labels).
     """
     raw = cfg.get("t", "auto")
     if str(raw).lower() != "auto":
@@ -188,6 +201,9 @@ def choose_time(model: DiffusionModel, cfg: dict, num_classes: int) -> float:
             return float(raw)
         except ValueError:
             raise ConfigError(f"bad diffusion time {raw!r}") from None
+    if truth is None:
+        raise ConfigError("--t auto needs --truth to count classes")
+    num_classes = _num_classes(truth)
     grid = log_t_grid(*AUTO_T_GRID)
     matches = []
     for t in grid:
@@ -195,11 +211,19 @@ def choose_time(model: DiffusionModel, cfg: dict, num_classes: int) -> float:
             _, scores = model.scores_at(t)
             if estimate_num_clusters(scores) == num_classes:
                 matches.append(t)
-        except ValueError:
+        except NumericalError:
             continue
     if matches:
         return float(matches[len(matches) // 2])
     return float(grid[len(grid) // 2])
+
+
+def _prepare_scores(cfg: dict, cloud: PointCloud, truth: np.ndarray | None):
+    """Build the model, resolve t, and score every point at t."""
+    model = build_model_from_config(cfg, cloud)
+    t = choose_time(model, cfg, truth)
+    emb, scores = model.scores_at(t)
+    return model, t, emb, scores
 
 
 def _trial_seed(root_seed: int, method: str, trial: int) -> int:
@@ -223,10 +247,9 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
         raise ConfigError("trials must be at least 1")
 
     cloud, truth, dataset_name = resolve_dataset(cfg)
-    model = build_model_from_config(cfg, cloud)
-    num_classes = int(np.unique(truth[truth > 0]).size)
-    t = choose_time(model, cfg, num_classes)
-    emb, scores = model.scores_at(t)
+    if truth is None:
+        raise ConfigError("file datasets need a `truth` labels path")
+    model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
 
     dend = None
     if "cbal" in methods:
@@ -254,35 +277,20 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
                 result = lund(scores, model.density, emb)
                 add_row("lund", result.num_clusters, 0, align_labels(result.labels, truth))
                 continue
+            # land is deterministic: one trial, recorded as seed 0
             for budget in budgets:
-                if method == "land":
+                for trial in range(1 if method == "land" else trials):
                     oracle = GroundTruthOracle(truth, budget)
-                    result = land(scores, model.density, emb, budget, oracle)
-                    add_row("land", budget, 0, result.labels)
-                elif method == "land-random":
-                    for trial in range(trials):
-                        oracle = GroundTruthOracle(truth, budget)
-                        result = land_random(
-                            model.density,
-                            emb,
-                            budget,
-                            oracle,
-                            seed=_trial_seed(cfg["root_seed"], method, trial),
-                            nearest_higher=scores.nearest_higher,
-                        )
-                        add_row("land-random", budget, trial, result.labels)
-                elif method == "cbal":
-                    for trial in range(trials):
-                        oracle = GroundTruthOracle(truth, budget)
-                        result = cbal(
-                            dend,
-                            budget,
-                            oracle,
-                            purity_threshold=cfg["cbal_theta"],
-                            sample_size=cfg["cbal_sample_size"],
-                            seed=_trial_seed(cfg["root_seed"], method, trial),
-                        )
-                        add_row("cbal", budget, trial, result.labels)
+                    seed = _trial_seed(cfg["root_seed"], method, trial)
+                    if method == "land":
+                        result = land(scores, model.density, emb, budget, oracle)
+                    elif method == "land-random":
+                        result = land_random(model.density, emb, budget, oracle, seed=seed,
+                                             nearest_higher=scores.nearest_higher)
+                    else:
+                        result = cbal(dend, budget, oracle, purity_threshold=cfg["cbal_theta"],
+                                      sample_size=cfg["cbal_sample_size"], seed=seed)
+                    add_row(method, budget, trial, result.labels)
 
     rows.sort()
     os.makedirs(out_dir, exist_ok=True)
@@ -305,7 +313,7 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
             "sigma": model.sigma,
             "num_eigs": model.spectrum.num_eigs,
             "t": t,
-            "num_classes": num_classes,
+            "num_classes": _num_classes(truth),
             "points_sha256": _sha256_of(cloud.points),
             "truth_sha256": _sha256_of(truth),
         },
@@ -330,7 +338,7 @@ def scan_t(cfg: dict, cloud: PointCloud, truth: np.ndarray | None,
             try:
                 emb, scores = model.scores_at(t)
                 k_hat = str(estimate_num_clusters(scores))
-            except ValueError as exc:
+            except NumericalError as exc:
                 warnings.warn(f"scan skipped t=10^{log10_t:g}: {exc}", stacklevel=2)
                 fh.write(f"{log10_t!r},,,," + "," * 9 + "\n")
                 continue
@@ -351,16 +359,14 @@ def scan_t(cfg: dict, cloud: PointCloud, truth: np.ndarray | None,
 # ---------------------------------------------------------------------------
 
 def _cfg_from_args(args) -> dict:
-    """Config file (or defaults) with any provided CLI flags layered on top."""
+    """Config file (or defaults) with any provided CLI flags layered on top.
+
+    Each flag's argparse type is its config key's caster, so flag values
+    are already cast.
+    """
     cfg = parse_config(args.config) if getattr(args, "config", None) else dict(DEFAULT_CONFIG)
-    for key, caster in CONFIG_KEYS.items():
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        try:
-            cfg[key] = caster(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"flag --{key.replace('_', '-')} has bad value {value!r}") from None
+    cfg.update({key: value for key, value in vars(args).items()
+                if key in CONFIG_KEYS and value is not None})
     return cfg
 
 
@@ -372,11 +378,10 @@ def _add_graph_flags(sub) -> None:
     sub.add_argument("--cache", help="directory for neighbor/spectrum caching")
 
 
-def _load_cloud(args) -> PointCloud:
-    if getattr(args, "hsi_header", None):
-        return load_hsi_cube(args.data, load_hsi_header(args.hsi_header),
-                             standardize=getattr(args, "standardize", False))
-    return load_csv(args.data)
+def _add_input_flags(sub) -> None:
+    sub.add_argument("--data", required=True)
+    sub.add_argument("--hsi-header", help="treat --data as a raw cube with this header")
+    sub.add_argument("--standardize", action="store_true")
 
 
 def cmd_gen_data(args) -> int:
@@ -414,7 +419,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_build_graph(args) -> int:
     cfg = _cfg_from_args(args)
-    cloud = _load_cloud(args)
+    cloud, _, _ = resolve_dataset(cfg, args)
     model = build_model_from_config(cfg, cloud)
     lam = model.spectrum.eigenvalues
     print(f"n={model.n} dim={cloud.dim} k={model.neighbors.k} sigma={model.sigma:.6g}")
@@ -423,23 +428,16 @@ def cmd_build_graph(args) -> int:
     return 0
 
 
-def _prepare_scores(args, cfg):
-    cloud = _load_cloud(args)
-    truth = load_labels(args.truth) if getattr(args, "truth", None) else None
-    model = build_model_from_config(cfg, cloud)
-    if str(cfg.get("t", "auto")).lower() == "auto":
-        if truth is None:
-            raise ConfigError("--t auto needs --truth to count classes")
-        t = choose_time(model, cfg, int(np.unique(truth[truth > 0]).size))
-    else:
-        t = float(cfg["t"])
-    emb, scores = model.scores_at(t)
-    return cloud, truth, model, t, emb, scores
+def _print_accuracy(pred: np.ndarray, truth: np.ndarray) -> None:
+    print(f"OA={overall_accuracy(pred, truth):.4f} "
+          f"AA={average_accuracy(pred, truth):.4f} "
+          f"kappa={cohens_kappa(pred, truth):.4f}")
 
 
 def cmd_lund(args) -> int:
     cfg = _cfg_from_args(args)
-    cloud, truth, model, t, emb, scores = _prepare_scores(args, cfg)
+    cloud, truth, _ = resolve_dataset(cfg, args)
+    model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
     result = (
         lund_k(scores, model.density, emb, args.num_clusters)
         if args.num_clusters
@@ -450,16 +448,14 @@ def cmd_lund(args) -> int:
         save_mode_scores_csv(args.scores_out, scores, model.density)
     print(f"t={t:.6g} clusters={result.num_clusters} wrote {args.out}")
     if truth is not None:
-        aligned = align_labels(result.labels, truth)
-        print(f"OA={overall_accuracy(aligned, truth):.4f} "
-              f"AA={average_accuracy(aligned, truth):.4f} "
-              f"kappa={cohens_kappa(aligned, truth):.4f}")
+        _print_accuracy(align_labels(result.labels, truth), truth)
     return 0
 
 
 def cmd_land(args) -> int:
     cfg = _cfg_from_args(args)
-    cloud, truth, model, t, emb, scores = _prepare_scores(args, cfg)
+    cloud, truth, _ = resolve_dataset(cfg, args)
+    model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
     if args.interactive:
         oracle = InteractiveOracle(args.budget, points=cloud.points)
     else:
@@ -470,9 +466,7 @@ def cmd_land(args) -> int:
     save_labels(args.out, result.labels)
     print(f"t={t:.6g} queried={result.queries_used} wrote {args.out}")
     if truth is not None:
-        print(f"OA={overall_accuracy(result.labels, truth):.4f} "
-              f"AA={average_accuracy(result.labels, truth):.4f} "
-              f"kappa={cohens_kappa(result.labels, truth):.4f}")
+        _print_accuracy(result.labels, truth)
         missing = np.setdiff1d(np.unique(truth[truth > 0]), result.observed_classes())
         if missing.size:
             print(f"classes never observed by the oracle: {missing.tolist()}")
@@ -499,13 +493,7 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
 
 def cmd_scan_t(args) -> int:
     cfg = _cfg_from_args(args)
-    if args.data:
-        cloud = load_csv(args.data)
-        truth = load_labels(args.truth) if args.truth else None
-        if truth is not None and truth.shape[0] != cloud.n:
-            raise DataError(f"truth has {truth.shape[0]} labels for {cloud.n} points")
-    else:
-        cloud, truth, _ = resolve_dataset(cfg)
+    cloud, truth, _ = resolve_dataset(cfg, args)
     path = scan_t(cfg, cloud, truth, _parse_grid(args.t_grid), args.out)
     print(f"wrote {path}")
     return 0
@@ -513,9 +501,8 @@ def cmd_scan_t(args) -> int:
 
 def cmd_purity(args) -> int:
     cfg = _cfg_from_args(args)
-    cloud, truth, model, t, emb, scores = _prepare_scores(args, cfg)
-    if truth is None:
-        raise ConfigError("purity needs --truth")
+    cloud, truth, _ = resolve_dataset(cfg, args)
+    model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
     levels = list(range(1, args.levels + 1))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("level,purity,method\n")
@@ -551,16 +538,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("build-graph", help="build and summarize the diffusion graph")
-    p.add_argument("--data", required=True)
-    p.add_argument("--hsi-header", help="treat --data as a raw cube with this header")
-    p.add_argument("--standardize", action="store_true")
+    _add_input_flags(p)
     _add_graph_flags(p)
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("lund", help="unsupervised labeling")
-    p.add_argument("--data", required=True)
-    p.add_argument("--hsi-header")
-    p.add_argument("--standardize", action="store_true")
+    _add_input_flags(p)
     p.add_argument("--truth")
     p.add_argument("--t")
     p.add_argument("--num-clusters", type=int)
@@ -570,9 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lund)
 
     p = sub.add_parser("land", help="active labeling with an oracle")
-    p.add_argument("--data", required=True)
-    p.add_argument("--hsi-header")
-    p.add_argument("--standardize", action="store_true")
+    _add_input_flags(p)
     p.add_argument("--truth")
     p.add_argument("--interactive", action="store_true")
     p.add_argument("--budget", type=int, required=True)
@@ -625,18 +606,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BudgetExceededError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except NumericalError as exc:  # a ValueError, so it is caught first
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 4
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 4
+    except (ConfigError, BudgetExceededError, ValueError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

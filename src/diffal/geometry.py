@@ -23,6 +23,7 @@ from scipy.spatial import cKDTree
 from .dataset import PointCloud
 from .graph import (
     NeighborLists,
+    NumericalError,
     SpectralDecomposition,
     _exact_search,
     knn_search,
@@ -83,7 +84,7 @@ def eigenvalue_powers(eigenvalues: np.ndarray, t: float) -> np.ndarray:
         return eigenvalues ** int(t)
     if np.any(eigenvalues < 0):
         bad = float(eigenvalues[eigenvalues < 0][0])
-        raise ValueError(
+        raise NumericalError(
             f"non-integer diffusion time t={t} with a negative retained "
             f"eigenvalue {bad}; use integer t or drop the negative eigenpairs"
         )

@@ -36,7 +36,7 @@ _BOUNDARY_MARGIN = 1e-9
 _BLOCK_ELEMENTS = 2**22
 
 
-class NumericalError(Exception):
+class NumericalError(ValueError):
     """Eigensolver failure or other numerical breakdown."""
 
 

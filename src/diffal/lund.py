@@ -24,6 +24,7 @@ from .geometry import (
     density_descending_order,
     nearest_denser_points,
 )
+from .graph import NumericalError
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ def estimate_num_clusters(scores: ModeScores) -> int:
     sorted_scores = scores.score[scores.order]
     limit = min(n - 1, math.ceil(n / 2))
     if np.any(sorted_scores[: limit + 1] == 0):
-        raise ValueError(
+        raise NumericalError(
             "zero mode score in the searched range; scores must be positive"
         )
     ratios = sorted_scores[:limit] / sorted_scores[1 : limit + 1]

@@ -1,9 +1,17 @@
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import diffal as da
+
+# Child processes (`python -m diffal.cli`) do not see pytest's `pythonpath`
+# setting, so export the checkout's src to them.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(autouse=True)

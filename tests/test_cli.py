@@ -281,3 +281,42 @@ class TestConfigAndExitCodes:
         path.write_text("# experiment\n\ndataset = geometric  # generator\n")
         cfg = parse_config(path)
         assert cfg["dataset"] == "geometric"
+
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # a star graph keeps a negative eigenvalue, which has no real
+        # power at the non-integer time t = 1.5
+        angles = 2 * np.pi * np.arange(5) / 5
+        star = np.vstack([[0.0, 0.0], np.c_[np.cos(angles), np.sin(angles)]])
+        points = tmp_path / "star.csv"
+        da.save_csv(points, da.PointCloud(star))
+        out = tmp_path / "labels.txt"
+        assert run_cli(
+            "lund", "--data", str(points), "--k", "1", "--sigma", "100",
+            "--t", "1.5", "--out", str(out),
+        ) == 4
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure:") and "\n" not in err
+        assert not out.exists()
+
+    def test_short_truth_is_a_data_error(self, small_dataset, tmp_path, capsys):
+        points, _, _, truth = small_dataset
+        short = tmp_path / "short.txt"
+        da.save_labels(short, truth[:10])
+        assert run_cli(
+            "land", "--data", str(points), "--truth", str(short),
+            "--budget", "2", "--t", "100", "--out", str(tmp_path / "labels.txt"),
+        ) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("data error:") and "\n" not in err
+
+    def test_long_truth_fails_before_any_output(self, small_dataset, tmp_path, capsys):
+        points, _, _, truth = small_dataset
+        long = tmp_path / "long.txt"
+        da.save_labels(long, np.concatenate([truth, truth]))
+        out = tmp_path / "labels.txt"
+        assert run_cli(
+            "lund", "--data", str(points), "--truth", str(long),
+            "--t", "100", "--out", str(out),
+        ) == 3
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not out.exists()
