@@ -1,11 +1,13 @@
 """Comparison methods: agglomerative linkage trees, random-query active
 labeling, and cluster-based active learning over a linkage tree (CBAL).
 
-The agglomerative implementation keeps a full distance matrix (O(n^2)
-memory) and picks each merge by the smallest height, breaking ties by the
-smaller minimum original point index of the merged pair, then by the other
-cluster's minimum index.  That rule makes merge sequences reproducible
-across implementations.
+The agglomerative implementation keeps one symmetric distance matrix
+(O(n^2) memory) and picks each merge by the smallest height, breaking ties
+by the smaller minimum original point index of the merged pair, then by
+the other cluster's minimum index.  That rule makes merge sequences
+reproducible across implementations.  Each row caches its first minimum,
+and a merge rescans only the rows whose minimum rose, so a run takes
+O(n^2) time on typical inputs (O(n^3) at worst).
 
 Dendrogram cuts number their clusters 1..L by each cluster's smallest
 member index.  cut_sequence keeps that smallest member per point while it
@@ -56,13 +58,14 @@ def linkage(cloud: PointCloud, method: str) -> Dendrogram:
     if n < 2:
         raise ValueError("linkage needs at least two points")
 
-    # dmat[i, j] for i < j is the current distance between the clusters whose
-    # minimum original indices are i and j; everything else stays +inf, so a
-    # row-major argmin realizes the (height, min-index, other-index) tie rule.
+    # dmat[i, j] is the current distance between the clusters whose smallest
+    # original indices are i and j (+inf on the diagonal and for merged-away
+    # slots).  Row r caches nn[r], its first argmin, and best[r], the value
+    # there, so argmin(best) is the row-major (height, i, j) choice.
     dmat = cdist(cloud.points, cloud.points)
-    dmat[np.tril_indices(n)] = np.inf
-
-    active = np.ones(n, dtype=bool)
+    np.fill_diagonal(dmat, np.inf)
+    nn = np.argmin(dmat, axis=1)
+    best = dmat[np.arange(n), nn]
     sizes = np.ones(n, dtype=np.int64)
     slot_id = np.arange(n, dtype=np.int64)
     ch_a = np.empty(n - 1, dtype=np.int64)
@@ -70,28 +73,32 @@ def linkage(cloud: PointCloud, method: str) -> Dendrogram:
     heights = np.empty(n - 1, dtype=np.float64)
 
     for step in range(n - 1):
-        flat = int(np.argmin(dmat))
-        i, j = divmod(flat, n)
-        h = dmat[i, j]
+        i = int(np.argmin(best))
+        j = int(nn[i])  # j > i: a smaller j would have made row j the argmin
         a, b = slot_id[i], slot_id[j]
         ch_a[step], ch_b[step] = min(a, b), max(a, b)
-        heights[step] = h
+        heights[step] = best[i]
 
-        others = np.flatnonzero(active)
-        others = others[(others != i) & (others != j)]
-        if others.size:
-            d_i = dmat[np.minimum(i, others), np.maximum(i, others)]
-            d_j = dmat[np.minimum(j, others), np.maximum(j, others)]
-            if method == "single":
-                new = np.minimum(d_i, d_j)
-            else:
-                new = (sizes[i] * d_i + sizes[j] * d_j) / (sizes[i] + sizes[j])
-            dmat[np.minimum(i, others), np.maximum(i, others)] = new
-        dmat[j, :] = np.inf
-        dmat[:, j] = np.inf
-        active[j] = False
+        if method == "single":
+            new = np.minimum(dmat[i], dmat[j])
+        else:
+            new = (sizes[i] * dmat[i] + sizes[j] * dmat[j]) / (sizes[i] + sizes[j])
+        new[[i, j]] = np.inf
+        dmat[i] = dmat[:, i] = new
+        dmat[j] = dmat[:, j] = np.inf
         sizes[i] += sizes[j]
         slot_id[i] = n + step
+        best[j] = np.inf
+
+        # Only columns i and j changed.  Rows that pointed at i or j now point
+        # at i unless their minimum rose; then they (row i among them) rescan.
+        stale = (nn == i) | (nn == j)
+        moved = (new < best) | ((new == best) & (stale | (nn > i)))
+        nn[moved] = i
+        best[moved] = new[moved]
+        for r in np.flatnonzero(stale & (new > best)):
+            nn[r] = np.argmin(dmat[r])
+            best[r] = dmat[r, nn[r]]
     return Dendrogram(children_a=ch_a, children_b=ch_b, heights=heights, n_leaves=n)
 
 
@@ -200,59 +207,37 @@ def cbal(
 
     n = dend.n_leaves
     members = _node_members(dend)
-    children = {
-        n + s: (int(dend.children_a[s]), int(dend.children_b[s]))
-        for s in range(dend.n_merges)
-    }
     rng = np.random.default_rng(seed)
-
+    labels = np.zeros(n, dtype=np.int64)
     frontier: list[int] = [dend.root_id]
-    frozen: dict[int, int] = {}
-    queried: dict[int, int] = {}
-    query_order: list[int] = []
+    queried: dict[int, int] = {}  # point -> answer, in query order
 
     while frontier and len(queried) < budget:
         # most unqueried points first, node id breaks ties
         node = max(frontier, key=lambda nd: (sum(1 for m in members[nd] if m not in queried), -nd))
         unqueried = [m for m in members[node] if m not in queried]
-        to_ask = min(sample_size, len(unqueried), budget - len(queried))
-        if to_ask > 0:
-            picks = rng.choice(len(unqueried), size=to_ask, replace=False)
-            for k in picks:
+        if unqueried:
+            to_ask = min(sample_size, len(unqueried), budget - len(queried))
+            for k in rng.choice(len(unqueried), size=to_ask, replace=False):
                 point = unqueried[int(k)]
                 queried[point] = int(oracle.query(point))
-                query_order.append(point)
-        node_answers = [queried[m] for m in members[node] if m in queried]
-        is_leaf = node < n
-        if node_answers:
-            label, fraction = _majority(node_answers)
-            if fraction >= purity_threshold or is_leaf:
-                frozen[node] = label
-                frontier.remove(node)
-                continue
-        if is_leaf:
-            # unreachable in practice (a selected leaf always ends up queried);
-            # freeze defensively so the loop cannot stall
-            frozen[node] = _majority(list(queried.values()))[0] if queried else 1
-            frontier.remove(node)
-            continue
+        # the node now holds at least one queried point; frontier nodes are
+        # disjoint, so a frozen node's labels are final when written
         frontier.remove(node)
-        frontier.extend(children[node])
+        label, fraction = _majority([queried[m] for m in members[node] if m in queried])
+        if fraction >= purity_threshold or node < n:
+            labels[members[node]] = label
+        else:
+            frontier.extend((int(dend.children_a[node - n]), int(dend.children_b[node - n])))
 
-    labels = np.zeros(n, dtype=np.int64)
-    global_label = _majority(list(queried.values()))[0] if queried else 1
-    for node, label in frozen.items():
-        labels[members[node]] = label
+    global_label = _majority(list(queried.values()))[0]
     for node in frontier:
         node_answers = [queried[m] for m in members[node] if m in queried]
-        label = _majority(node_answers)[0] if node_answers else global_label
-        labels[members[node]] = label
+        labels[members[node]] = _majority(node_answers)[0] if node_answers else global_label
 
-    targets = np.array(query_order, dtype=np.int64)
-    answers = np.array([queried[i] for i in query_order], dtype=np.int64)
     return ActiveResult(
         labels=labels,
-        queried_indices=targets,
+        queried_indices=np.array(list(queried), dtype=np.int64),
         queries_used=len(queried),
-        queried_labels=answers,
+        queried_labels=np.array(list(queried.values()), dtype=np.int64),
     )

@@ -11,12 +11,14 @@ split deterministically per (method, trial).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
 import warnings
+from collections.abc import Callable
 
 import numpy as np
 
@@ -188,12 +190,15 @@ def _num_classes(truth: np.ndarray) -> int:
     return int(np.unique(truth[truth > 0]).size)
 
 
-def choose_time(model: DiffusionModel, cfg: dict, truth: np.ndarray | None) -> float:
+def choose_time(model: DiffusionModel | Callable[[], DiffusionModel], cfg: dict,
+                truth: np.ndarray | None) -> float:
     """Resolve the diffusion time: explicit value, or the K-matching scan.
 
     "auto" scans a log10 grid and picks the median time whose estimated
     cluster count equals the number of classes in truth (only that count
-    is read from the labels).
+    is read from the labels).  model may also be a function that builds
+    the model: it is called only for the scan, after the flags are
+    checked, so a bad --t fails before any graph work.
     """
     raw = cfg.get("t", "auto")
     if str(raw).lower() != "auto":
@@ -203,6 +208,8 @@ def choose_time(model: DiffusionModel, cfg: dict, truth: np.ndarray | None) -> f
             raise ConfigError(f"bad diffusion time {raw!r}") from None
     if truth is None:
         raise ConfigError("--t auto needs --truth to count classes")
+    if callable(model):
+        model = model()
     num_classes = _num_classes(truth)
     grid = log_t_grid(*AUTO_T_GRID)
     matches = []
@@ -219,11 +226,11 @@ def choose_time(model: DiffusionModel, cfg: dict, truth: np.ndarray | None) -> f
 
 
 def _prepare_scores(cfg: dict, cloud: PointCloud, truth: np.ndarray | None):
-    """Build the model, resolve t, and score every point at t."""
-    model = build_model_from_config(cfg, cloud)
+    """Resolve t, build the model, and score every point at t."""
+    model = functools.cache(lambda: build_model_from_config(cfg, cloud))
     t = choose_time(model, cfg, truth)
-    emb, scores = model.scores_at(t)
-    return model, t, emb, scores
+    emb, scores = model().scores_at(t)
+    return model(), t, emb, scores
 
 
 def _trial_seed(root_seed: int, method: str, trial: int) -> int:
@@ -328,8 +335,8 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
 def scan_t(cfg: dict, cloud: PointCloud, truth: np.ndarray | None,
            grid_log10: tuple[float, float, float], out_path) -> str:
     """Per-t cluster-count estimates (plus separation stats when truth given)."""
-    model = build_model_from_config(cfg, cloud)
     grid = log_t_grid(*grid_log10)
+    model = build_model_from_config(cfg, cloud)
     with open(out_path, "w", encoding="utf-8") as fh:
         top_cols = ",".join(f"score_{i}" for i in range(1, 11))
         fh.write(f"t_log10,k_hat,d_in,d_btw,{top_cols}\n")
@@ -502,6 +509,8 @@ def cmd_scan_t(args) -> int:
 def cmd_purity(args) -> int:
     cfg = _cfg_from_args(args)
     cloud, truth, _ = resolve_dataset(cfg, args)
+    if not 1 <= args.levels <= cloud.n:
+        raise ConfigError(f"need 1 <= --levels <= n = {cloud.n}, got {args.levels}")
     model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
     levels = list(range(1, args.levels + 1))
     with open(args.out, "w", encoding="utf-8") as fh:

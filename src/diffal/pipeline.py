@@ -138,5 +138,7 @@ def log_t_grid(start: float, stop: float, step: float) -> np.ndarray:
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     count = int(round((stop - start) / step)) + 1
+    if count < 1:
+        raise ValueError(f"empty time grid: stop {stop} is below start {start}")
     exponents = start + step * np.arange(count)
     return np.power(10.0, exponents)

@@ -320,3 +320,40 @@ class TestConfigAndExitCodes:
         ) == 3
         assert capsys.readouterr().err.startswith("data error:")
         assert not out.exists()
+
+    def test_time_flag_errors_come_before_the_graph(self, tmp_path, capsys):
+        # this cloud's default sigma is 0, a data error of the graph build,
+        # so exit 2 shows that the flags were checked first
+        base = np.random.default_rng(29).normal(size=(20, 3))
+        points = tmp_path / "dups.csv"
+        da.save_csv(points, da.PointCloud(np.repeat(base, 30, axis=0)))
+        out = tmp_path / "labels.txt"
+        for t in ("zz", "auto"):
+            assert run_cli("lund", "--data", str(points), "--t", t, "--out", str(out)) == 2
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("config error:") and "\n" not in err
+            assert not out.exists()
+
+    def test_reversed_t_grid_is_a_config_error(self, small_dataset, tmp_path, capsys):
+        points, _, _, _ = small_dataset
+        with pytest.raises(ValueError, match="empty time grid"):
+            da.log_t_grid(3.0, 1.0, 0.5)
+        out = tmp_path / "scan.csv"
+        assert run_cli(
+            "scan-t", "--data", str(points), "--t-grid", "3:1:0.5", "--out", str(out),
+        ) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_purity_levels_out_of_range_fail_before_any_output(
+        self, small_dataset, tmp_path, capsys
+    ):
+        points, labels, cloud, _ = small_dataset
+        out = tmp_path / "purity.csv"
+        for levels in (0, cloud.n + 1):
+            assert run_cli(
+                "purity", "--data", str(points), "--truth", str(labels),
+                "--t", "100", "--levels", str(levels), "--out", str(out),
+            ) == 2
+            assert capsys.readouterr().err.startswith("config error:")
+            assert not out.exists()
