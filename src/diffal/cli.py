@@ -18,7 +18,6 @@ import os
 import sys
 import time
 import warnings
-from collections.abc import Callable
 
 import numpy as np
 
@@ -190,15 +189,14 @@ def _num_classes(truth: np.ndarray) -> int:
     return int(np.unique(truth[truth > 0]).size)
 
 
-def choose_time(model: DiffusionModel | Callable[[], DiffusionModel], cfg: dict,
-                truth: np.ndarray | None) -> float:
+def choose_time(build, cfg: dict, truth: np.ndarray | None) -> float:
     """Resolve the diffusion time: explicit value, or the K-matching scan.
 
     "auto" scans a log10 grid and picks the median time whose estimated
     cluster count equals the number of classes in truth (only that count
-    is read from the labels).  model may also be a function that builds
-    the model: it is called only for the scan, after the flags are
-    checked, so a bad --t fails before any graph work.
+    is read from the labels).  build() returns the model; it is called
+    only for the scan, after the flags are checked, so a bad --t fails
+    before any graph work.
     """
     raw = cfg.get("t", "auto")
     if str(raw).lower() != "auto":
@@ -208,8 +206,7 @@ def choose_time(model: DiffusionModel | Callable[[], DiffusionModel], cfg: dict,
             raise ConfigError(f"bad diffusion time {raw!r}") from None
     if truth is None:
         raise ConfigError("--t auto needs --truth to count classes")
-    if callable(model):
-        model = model()
+    model = build()
     num_classes = _num_classes(truth)
     grid = log_t_grid(*AUTO_T_GRID)
     matches = []
