@@ -17,6 +17,7 @@ replays the merges, so a cut is one np.unique over that vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -48,6 +49,15 @@ class Dendrogram:
     @property
     def root_id(self) -> int:
         return self.n_leaves + self.n_merges - 1
+
+    @cached_property
+    def _members(self) -> dict[int, list[int]]:
+        """Sorted member points of every cluster id, built once per tree."""
+        members: dict[int, list[int]] = {i: [i] for i in range(self.n_leaves)}
+        for s in range(self.n_merges):
+            a, b = int(self.children_a[s]), int(self.children_b[s])
+            members[self.n_leaves + s] = sorted(members[a] + members[b])
+        return members
 
 
 def linkage(cloud: PointCloud, method: str) -> Dendrogram:
@@ -164,14 +174,6 @@ def land_random(
     return _query_and_propagate(targets, dens, emb, oracle, nearest_higher)
 
 
-def _node_members(dend: Dendrogram) -> dict[int, list[int]]:
-    members: dict[int, list[int]] = {i: [i] for i in range(dend.n_leaves)}
-    for s in range(dend.n_merges):
-        a, b = int(dend.children_a[s]), int(dend.children_b[s])
-        members[dend.n_leaves + s] = sorted(members[a] + members[b])
-    return members
-
-
 def _majority(labels: list[int]) -> tuple[int, float]:
     """(modal label, modal fraction); label ties go to the smaller id."""
     values, counts = np.unique(np.asarray(labels, dtype=np.int64), return_counts=True)
@@ -206,7 +208,7 @@ def cbal(
         raise ValueError(f"sample size must be at least 1, got {sample_size}")
 
     n = dend.n_leaves
-    members = _node_members(dend)
+    members = dend._members
     rng = np.random.default_rng(seed)
     labels = np.zeros(n, dtype=np.int64)
     frontier: list[int] = [dend.root_id]

@@ -3,8 +3,11 @@
 Entries are keyed by a content hash of the points plus the parameters that
 produced them, stored as pickle-free .npz archives carrying a format
 version, so stale layouts are rejected instead of misread.  An entry that
-cannot be read (truncated, corrupt) counts as a miss and is overwritten by
-the recomputed result.
+cannot be trusted counts as a miss and is overwritten by the recomputed
+result: one that cannot be read (truncated, corrupt), or whose arrays do
+not have the shapes the caller expects from n, k and num_eigs.  Spectrum
+keys carry the eigensolver version, so spectra cached by an older solver
+are recomputed.
 """
 
 from __future__ import annotations
@@ -66,23 +69,32 @@ class DiffusionCache:
             os.unlink(tmp)
             raise
 
-    def load_neighbors(self, key: str) -> NeighborLists | None:
+    def load_neighbors(self, key: str, shape=None) -> NeighborLists | None:
+        """The cached lists, or None; shape is the expected (n, k), if known."""
         data = self._load("nb", key)
         if data is None:
             return None
-        return NeighborLists(indices=data["indices"], distances=data["distances"])
+        indices, distances = data["indices"], data["distances"]
+        if shape is not None and not indices.shape == distances.shape == tuple(shape):
+            return None
+        return NeighborLists(indices=indices, distances=distances)
 
     def save_neighbors(self, key: str, nb: NeighborLists) -> None:
         self._save("nb", key, indices=nb.indices, distances=nb.distances)
 
-    def load_spectrum(self, key: str) -> SpectralDecomposition | None:
+    def load_spectrum(self, key: str, shape=None) -> SpectralDecomposition | None:
+        """The cached spectrum, or None; shape is the expected (n, num_eigs), if known."""
         data = self._load("eig", key)
         if data is None:
             return None
+        eigenvalues, basis, stationary = data["eigenvalues"], data["basis"], data["stationary"]
+        if shape is not None:
+            n, num_eigs = shape
+            got = (eigenvalues.shape, basis.shape, stationary.shape)
+            if got != ((num_eigs,), (n, num_eigs), (n,)):
+                return None
         return SpectralDecomposition(
-            eigenvalues=data["eigenvalues"],
-            basis=data["basis"],
-            stationary=data["stationary"],
+            eigenvalues=eigenvalues, basis=basis, stationary=stationary
         )
 
     def save_spectrum(self, key: str, spec: SpectralDecomposition) -> None:

@@ -5,6 +5,13 @@ Gaussian kernel matrix symmetrized by entrywise max, row-stochastic
 normalization P = D^(-1) W, and the top eigenpairs of the symmetric
 conjugate D^(-1/2) W D^(-1/2) converted to right eigenvectors of P.
 
+The eigensolver is chosen from the graph's shape, with no knob: a dense solve
+for small n; shift-invert Lanczos where the kNN graph grows like a plane
+(two-hop growth of the sparsity pattern at most 4), because only there its
+sparse LU stays sparse; plain Lanczos everywhere else, as on hyperspectral
+clouds in hundreds of dimensions.  Every returned eigenpair is checked by its
+residual, and a wrong one raises NumericalError.
+
 Both exact neighbor searches, kNN here and the nearest-denser search in
 geometry, run on one engine, _exact_search.  It proposes candidates with a
 kd-tree, recomputes every reported distance with plain numpy arithmetic, and
@@ -208,24 +215,54 @@ def _symmetric_conjugate(mc: MarkovChain) -> sparse.csr_matrix:
 
 _DENSE_EIG_CUTOFF = 300
 
+# Two-hop growth of the kernel's sparsity pattern at or below which the graph
+# grows like a plane: doubling the hop radius at most quadruples the ball.
+# Only there does the sparse LU behind shift-invert stay sparse; on graphs
+# that grow faster it fills in to a nearly dense matrix and plain Lanczos wins.
+_PLANAR_GROWTH = 4.0
+
+# evenly spaced rows sampled to measure the two-hop growth
+_GROWTH_ROWS = 64
+
+# Largest ||S v - lambda v|| accepted for a returned unit eigenvector.  Every
+# path solves to machine precision (residuals near 1e-13), so a pair above
+# this bound is wrong, not rounded.
+_EIG_RESIDUAL_BOUND = 1e-8
+
+# Part of the spectrum cache key: bump it whenever a solver change can alter
+# the returned eigenpairs, so spectra cached by the old solver are recomputed.
+EIGENSOLVER_VERSION = 2
+
 
 # spectrum of the symmetric conjugate lies in [-1, 1]; shifts just outside
 # either end are always safely away from any eigenvalue
 _SHIFT_OUTSIDE = 1.0 + 1e-6
 
 
-def _sparse_eigensolve(S, num_eigs: int):
-    """Top-by-modulus eigenpairs of S via shift-invert Lanczos.
+def _two_hop_growth(S) -> float:
+    """nnz(B[rows] @ B) / nnz(B[rows]) for the 0/1 pattern B of S.
 
-    The eigenvalues nearest a shift just above +1 are the largest algebraic
-    ones.  Negative eigenvalues can only enter the top-by-modulus set when
-    the bottom of the spectrum reaches below minus the smallest kept value;
-    a cheap probe of the smallest eigenvalue decides whether a second
-    shift-invert solve near the bottom is needed, and the two ends are then
-    merged.  Falls back to direct Lanczos if the factorization fails.
+    rows are _GROWTH_ROWS evenly spaced rows, and B keeps the unit diagonal,
+    so this is the mean size of a radius-2 ball over that of a radius-1 ball:
+    about 4 or less on a planar kNN graph, and far more in high dimension.
     """
     n = S.shape[0]
-    v0 = np.full(n, 1.0 / math.sqrt(n))
+    B = sparse.csr_matrix((np.ones_like(S.data), S.indices, S.indptr), shape=S.shape)
+    head = B[np.linspace(0, n - 1, _GROWTH_ROWS).astype(np.int64)]
+    return (head @ B).nnz / head.nnz
+
+
+def _sparse_eigensolve(S, num_eigs: int, v0: np.ndarray):
+    """Top-by-modulus eigenpairs of S via shift-invert Lanczos.
+
+    Used on planar-like graphs only, where the sparse LU of S - sigma I stays
+    sparse.  The eigenvalues nearest a shift just above +1 are the largest
+    algebraic ones.  Negative eigenvalues can only enter the top-by-modulus
+    set when the bottom of the spectrum reaches below minus the smallest kept
+    value; a cheap probe of the smallest eigenvalue decides whether a second
+    shift-invert solve near the bottom is needed, and the two ends are then
+    merged.  Falls back to plain Lanczos if the factorization fails.
+    """
     try:
         Sc = S.tocsc()
         vals_hi, vecs_hi = splinalg.eigsh(
@@ -259,12 +296,16 @@ def _sparse_eigensolve(S, num_eigs: int):
 def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
     """Top num_eigs eigenpairs of P by eigenvalue modulus.
 
-    Solved through the symmetric conjugate D^(-1/2) W D^(-1/2): dense
-    symmetric solve when n is small or nearly all eigenpairs are requested,
-    otherwise shift-invert Lanczos (iteration counts stay flat as n grows
-    because the factorization concentrates the spectrum ends).  Eigenvectors
-    are converted to right eigenvectors of P by dividing by
-    sqrt(stationary).  Every path solves to machine precision.
+    Solved through the symmetric conjugate S = D^(-1/2) W D^(-1/2).  The
+    dense symmetric solver runs when n is small or nearly all eigenpairs are
+    requested.  Otherwise the two-hop growth of S's pattern picks the sparse
+    solver: on a planar-like graph (growth at most 4) shift-invert Lanczos,
+    whose factorization keeps iteration counts flat as n grows; on any other
+    graph one plain Lanczos call for the top pairs by modulus, negative ones
+    included.  Every path solves to machine precision, and the returned pairs
+    are checked: a residual ||S v - lambda v|| above 1e-8 raises
+    NumericalError.  Eigenvectors are converted to right eigenvectors of P
+    by dividing by sqrt(stationary).
     """
     n = mc.n
     if not 1 <= num_eigs <= n:
@@ -275,8 +316,12 @@ def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
 
         evals, evecs = scipy.linalg.eigh(S.toarray())
     else:
+        v0 = np.full(n, 1.0 / math.sqrt(n))
         try:
-            evals, evecs = _sparse_eigensolve(S, num_eigs)
+            if _two_hop_growth(S) <= _PLANAR_GROWTH:
+                evals, evecs = _sparse_eigensolve(S, num_eigs, v0)
+            else:
+                evals, evecs = splinalg.eigsh(S, k=num_eigs, which="LM", v0=v0)
         except splinalg.ArpackNoConvergence as exc:
             got = 0 if exc.eigenvalues is None else len(exc.eigenvalues)
             raise NumericalError(
@@ -288,6 +333,11 @@ def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
     order = np.lexsort((-evals, -np.abs(evals)))[:num_eigs]
     evals = evals[order]
     evecs = evecs[:, order]
+    residual = float(np.linalg.norm(S @ evecs - evecs * evals, axis=0).max())
+    if not residual <= _EIG_RESIDUAL_BOUND:
+        raise NumericalError(
+            f"eigenpair residual {residual:.3g} exceeds {_EIG_RESIDUAL_BOUND:g}"
+        )
 
     if num_eigs >= 2 and abs(evals[1]) >= 1.0 - 1e-10:
         warnings.warn(

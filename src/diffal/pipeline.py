@@ -24,6 +24,7 @@ from .geometry import (
     rho,
 )
 from .graph import (
+    EIGENSOLVER_VERSION,
     NeighborLists,
     SpectralDecomposition,
     default_num_eigs,
@@ -92,7 +93,7 @@ def build_model(
     nb_key = None
     if cache is not None:
         nb_key = content_key(cloud.points, kind="neighbors", k=k)
-        neighbors = cache.load_neighbors(nb_key)
+        neighbors = cache.load_neighbors(nb_key, shape=(n, k))
     if neighbors is None:
         neighbors = knn_search(cloud, k)
         if cache is not None:
@@ -113,9 +114,10 @@ def build_model(
     eig_key = None
     if cache is not None:
         eig_key = content_key(
-            cloud.points, kind="spectrum", k=k, sigma=sigma, num_eigs=num_eigs
+            cloud.points, kind="spectrum", k=k, sigma=sigma, num_eigs=num_eigs,
+            solver=EIGENSOLVER_VERSION,
         )
-        spectrum = cache.load_spectrum(eig_key)
+        spectrum = cache.load_spectrum(eig_key, shape=(n, num_eigs))
     if spectrum is None:
         chain = markov_normalize(kernel_matrix(neighbors, sigma))
         spectrum = spectral_decompose(chain, num_eigs)

@@ -1,0 +1,186 @@
+"""The sparse eigensolver path chosen from the graph's two-hop growth, the
+residual check on every returned eigenpair, and spectrum cache entries that
+cannot be trusted."""
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+import diffal as da
+import diffal.graph as graph
+import diffal.pipeline as pipeline
+from diffal.cli import main
+from diffal.graph import _PLANAR_GROWTH, _symmetric_conjugate, _two_hop_growth
+
+NUM_EIGS = 25
+
+
+def _chain(points, k=20):
+    cloud = da.PointCloud(np.asarray(points, dtype=float))
+    nb = da.knn_search(cloud, k)
+    return da.markov_normalize(da.kernel_matrix(nb, da.default_sigma(nb)))
+
+
+def _cloud(dim, n=600, seed=40):
+    return np.random.default_rng(seed).normal(size=(n, dim))
+
+
+def _spy_shift_invert(monkeypatch):
+    calls = []
+    real = graph._sparse_eigensolve
+
+    def spy(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(graph, "_sparse_eigensolve", spy)
+    return calls
+
+
+class TestPathChoice:
+    def test_planar_cloud_takes_shift_invert(self, monkeypatch):
+        mc = _chain(_cloud(2))
+        assert _two_hop_growth(_symmetric_conjugate(mc)) <= _PLANAR_GROWTH
+        calls = _spy_shift_invert(monkeypatch)
+        da.spectral_decompose(mc, NUM_EIGS)
+        assert calls == [NUM_EIGS]
+
+    def test_five_dimensional_cloud_takes_plain_lanczos(self, monkeypatch):
+        mc = _chain(_cloud(5))
+        assert _two_hop_growth(_symmetric_conjugate(mc)) > _PLANAR_GROWTH
+        calls = _spy_shift_invert(monkeypatch)
+        da.spectral_decompose(mc, NUM_EIGS)
+        assert calls == []
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_matches_dense_eigh(self, dim):
+        mc = _chain(_cloud(dim))
+        spec = da.spectral_decompose(mc, NUM_EIGS)
+        S = _symmetric_conjugate(mc)
+        evals, evecs = scipy.linalg.eigh(S.toarray())
+        order = np.lexsort((-evals, -np.abs(evals)))
+        assert np.max(np.abs(spec.eigenvalues - evals[order[:NUM_EIGS]])) <= 1e-10
+
+        # an eigenvector is determined up to sign only where its eigenvalue
+        # is simple in the whole spectrum
+        gaps = np.abs(evals[order[:NUM_EIGS], None] - evals[None, :])
+        gaps[np.arange(NUM_EIGS), order[:NUM_EIGS]] = np.inf
+        simple = gaps.min(axis=1) > 1e-6
+        assert simple.sum() >= NUM_EIGS // 2
+        want = evecs[:, order[:NUM_EIGS]] / np.sqrt(mc.stationary)[:, None]
+        want *= np.sign(np.sum(want * spec.basis, axis=0))[None, :]
+        assert np.max(np.abs(spec.basis[:, simple] - want[:, simple])) <= 1e-8
+
+        V = spec.basis * np.sqrt(spec.stationary)[:, None]
+        residual = np.linalg.norm(S @ V - V * spec.eigenvalues[None, :], axis=0)
+        assert residual.max() <= 1e-8
+
+    def test_disconnected_non_planar_graph_warns(self):
+        rng = np.random.default_rng(41)
+        pts = np.vstack([rng.normal(size=(300, 5)), 100.0 + rng.normal(size=(300, 5))])
+        mc = _chain(pts, k=10)
+        assert _two_hop_growth(_symmetric_conjugate(mc)) > _PLANAR_GROWTH
+        with pytest.warns(UserWarning, match="appears disconnected"):
+            spec = da.spectral_decompose(mc, NUM_EIGS)
+        assert np.sum(np.abs(spec.eigenvalues - 1.0) < 1e-8) >= 2
+
+
+def _perturb_first_eigenvalue(vals, vecs):
+    vals = vals.copy()
+    vals[0] += 1e-6
+    return vals, vecs
+
+
+class TestResidualCheck:
+    def test_wrong_plain_lanczos_pair_is_a_numerical_error(self, monkeypatch):
+        mc = _chain(_cloud(5))
+        real = graph.splinalg.eigsh
+        monkeypatch.setattr(
+            graph.splinalg, "eigsh",
+            lambda *args, **kwargs: _perturb_first_eigenvalue(*real(*args, **kwargs)),
+        )
+        with pytest.raises(da.NumericalError, match="residual"):
+            da.spectral_decompose(mc, NUM_EIGS)
+
+    def test_wrong_shift_invert_pair_exits_4(self, monkeypatch, tmp_path, capsys):
+        real = graph._sparse_eigensolve
+        monkeypatch.setattr(
+            graph, "_sparse_eigensolve",
+            lambda *args: _perturb_first_eigenvalue(*real(*args)),
+        )
+        points = tmp_path / "points.csv"
+        da.save_csv(points, da.PointCloud(_cloud(2, n=400)))
+        out = tmp_path / "labels.txt"
+        assert main(["lund", "--data", str(points), "--t", "10", "--out", str(out)]) == 4
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure:") and "residual" in err
+        assert "\n" not in err
+        assert not out.exists()
+
+
+class TestUntrustedCacheEntries:
+    K = 6
+
+    @staticmethod
+    def _cloud():
+        return da.PointCloud(np.random.default_rng(42).normal(size=(100, 2)))
+
+    def _assert_same(self, model, fresh):
+        assert np.array_equal(model.neighbors.indices, fresh.neighbors.indices)
+        assert np.array_equal(model.neighbors.distances, fresh.neighbors.distances)
+        assert np.array_equal(model.spectrum.eigenvalues, fresh.spectrum.eigenvalues)
+        assert np.array_equal(model.spectrum.basis, fresh.spectrum.basis)
+
+    def test_spectrum_of_another_solver_version_is_recomputed(self, tmp_path, monkeypatch):
+        cloud = self._cloud()
+        fresh = da.build_model(cloud, k=self.K)
+        num_eigs = da.default_num_eigs(cloud.n)
+        # a wrong spectrum of the right shape under the key of a cache that
+        # did not record the solver version
+        old_key = da.content_key(
+            cloud.points, kind="spectrum", k=self.K, sigma=fresh.sigma, num_eigs=num_eigs
+        )
+        cache = da.DiffusionCache(tmp_path)
+        cache.save_spectrum(old_key, da.SpectralDecomposition(
+            eigenvalues=np.ones(num_eigs), basis=np.ones((cloud.n, num_eigs)),
+            stationary=np.full(cloud.n, 1.0 / cloud.n),
+        ))
+        self._assert_same(da.build_model(cloud, k=self.K, cache_dir=tmp_path), fresh)
+        assert len(list(tmp_path.glob("eig_*.npz"))) == 2
+
+        # a new solver version misses the spectrum but reuses the neighbors
+        monkeypatch.setattr(pipeline, "EIGENSOLVER_VERSION", graph.EIGENSOLVER_VERSION + 1)
+        self._assert_same(da.build_model(cloud, k=self.K, cache_dir=tmp_path), fresh)
+        assert len(list(tmp_path.glob("eig_*.npz"))) == 3
+        assert len(list(tmp_path.glob("nb_*.npz"))) == 1
+
+    def test_misshapen_neighbor_entry_is_a_miss_and_overwritten(self, tmp_path):
+        cloud = self._cloud()
+        fresh = da.build_model(cloud, k=self.K)
+        key = da.content_key(cloud.points, kind="neighbors", k=self.K)
+        cache = da.DiffusionCache(tmp_path)
+        short = da.knn_search(cloud, self.K - 1)
+        cache.save_neighbors(key, short)
+        assert cache.load_neighbors(key, shape=(cloud.n, self.K)) is None
+        self._assert_same(da.build_model(cloud, k=self.K, cache_dir=tmp_path), fresh)
+        loaded = cache.load_neighbors(key, shape=(cloud.n, self.K))
+        assert np.array_equal(loaded.indices, fresh.neighbors.indices)
+
+    def test_misshapen_spectrum_entry_is_a_miss_and_overwritten(self, tmp_path):
+        cloud = self._cloud()
+        fresh = da.build_model(cloud, k=self.K)
+        num_eigs = da.default_num_eigs(cloud.n)
+        key = da.content_key(
+            cloud.points, kind="spectrum", k=self.K, sigma=fresh.sigma, num_eigs=num_eigs,
+            solver=graph.EIGENSOLVER_VERSION,
+        )
+        cache = da.DiffusionCache(tmp_path)
+        cache.save_spectrum(key, da.SpectralDecomposition(
+            eigenvalues=fresh.spectrum.eigenvalues[:-1],
+            basis=fresh.spectrum.basis[:, :-1],
+            stationary=fresh.spectrum.stationary,
+        ))
+        assert cache.load_spectrum(key, shape=(cloud.n, num_eigs)) is None
+        self._assert_same(da.build_model(cloud, k=self.K, cache_dir=tmp_path), fresh)
+        loaded = cache.load_spectrum(key, shape=(cloud.n, num_eigs))
+        assert loaded.eigenvalues.shape == (num_eigs,)
