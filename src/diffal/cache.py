@@ -24,15 +24,25 @@ from .graph import NeighborLists, SpectralDecomposition
 FORMAT_VERSION = 1
 
 
-def content_key(points: np.ndarray, **params) -> str:
-    """Hex digest identifying (points, sorted params)."""
-    h = hashlib.sha256()
+def points_hash(points: np.ndarray):
+    """sha256 state after the points' shape and bytes, for params_key to extend."""
     arr = np.ascontiguousarray(points, dtype=np.float64)
-    h.update(str(arr.shape).encode())
-    h.update(arr.tobytes())
+    h = hashlib.sha256(str(arr.shape).encode())
+    h.update(arr)
+    return h
+
+
+def params_key(points_state, **params) -> str:
+    """content_key of the points hashed into points_state; hashes a copy."""
+    h = points_state.copy()
     for name in sorted(params):
         h.update(f"|{name}={params[name]!r}".encode())
     return h.hexdigest()
+
+
+def content_key(points: np.ndarray, **params) -> str:
+    """Hex digest identifying (points, sorted params)."""
+    return params_key(points_hash(points), **params)
 
 
 class DiffusionCache:

@@ -374,6 +374,16 @@ def _cfg_from_args(args) -> dict:
     return cfg
 
 
+def _read_inputs(args, *outputs) -> tuple[dict, PointCloud, np.ndarray | None]:
+    """(cfg, cloud, truth) of a command; first, an output file (None: not
+    asked for) whose directory does not exist is a config error."""
+    for path in filter(None, outputs):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"the directory of output file {path} does not exist")
+    cfg = _cfg_from_args(args)
+    return (cfg, *resolve_dataset(cfg, args)[:2])
+
+
 def _add_graph_flags(sub) -> None:
     sub.add_argument("--k", type=int, help="graph neighbors (default max(20, log2 n))")
     sub.add_argument("--sigma", type=float, help="kernel bandwidth (default mean k-th NN distance)")
@@ -422,8 +432,7 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
-    cfg = _cfg_from_args(args)
-    cloud, _, _ = resolve_dataset(cfg, args)
+    cfg, cloud, _ = _read_inputs(args)
     model = build_model_from_config(cfg, cloud)
     lam = model.spectrum.eigenvalues
     print(f"n={model.n} dim={cloud.dim} k={model.neighbors.k} sigma={model.sigma:.6g}")
@@ -439,8 +448,7 @@ def _print_accuracy(pred: np.ndarray, truth: np.ndarray) -> None:
 
 
 def cmd_lund(args) -> int:
-    cfg = _cfg_from_args(args)
-    cloud, truth, _ = resolve_dataset(cfg, args)
+    cfg, cloud, truth = _read_inputs(args, args.out, args.scores_out)
     model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
     result = (
         lund_k(scores, model.density, emb, args.num_clusters)
@@ -457,8 +465,7 @@ def cmd_lund(args) -> int:
 
 
 def cmd_land(args) -> int:
-    cfg = _cfg_from_args(args)
-    cloud, truth, _ = resolve_dataset(cfg, args)
+    cfg, cloud, truth = _read_inputs(args, args.out)
     model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
     if args.interactive:
         oracle = InteractiveOracle(args.budget, points=cloud.points)
@@ -496,16 +503,14 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
 
 
 def cmd_scan_t(args) -> int:
-    cfg = _cfg_from_args(args)
-    cloud, truth, _ = resolve_dataset(cfg, args)
+    cfg, cloud, truth = _read_inputs(args, args.out)
     path = scan_t(cfg, cloud, truth, _parse_grid(args.t_grid), args.out)
     print(f"wrote {path}")
     return 0
 
 
 def cmd_purity(args) -> int:
-    cfg = _cfg_from_args(args)
-    cloud, truth, _ = resolve_dataset(cfg, args)
+    cfg, cloud, truth = _read_inputs(args, args.out)
     if not 1 <= args.levels <= cloud.n:
         raise ConfigError(f"need 1 <= --levels <= n = {cloud.n}, got {args.levels}")
     model, t, emb, scores = _prepare_scores(cfg, cloud, truth)

@@ -138,8 +138,7 @@ def kde(
 
 def global_density_maximizer(p: np.ndarray) -> int:
     """Unique top of the density order: maximum p, ties to the smaller index."""
-    n = p.shape[0]
-    return int(np.lexsort((np.arange(n), -p))[0])
+    return int(density_descending_order(p)[0])
 
 
 def density_descending_order(p: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ The eigensolver is chosen from the graph's shape, with no knob: a dense solve
 for small n; shift-invert Lanczos where the kNN graph grows like a plane
 (two-hop growth of the sparsity pattern at most 4), because only there its
 sparse LU stays sparse; plain Lanczos everywhere else, as on hyperspectral
-clouds in hundreds of dimensions.  Every returned eigenpair is checked by its
-residual, and a wrong one raises NumericalError.
+clouds in hundreds of dimensions, and where a bottom probe cannot prove the
+shift-invert pairs the top ones by modulus.  Every returned eigenpair is
+checked by its residual, and a wrong one raises NumericalError.
 
 Both exact neighbor searches, kNN here and the nearest-denser search in
 geometry, run on one engine, _exact_search.  It proposes candidates with a
@@ -27,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 from scipy.spatial import cKDTree
@@ -231,11 +233,11 @@ _EIG_RESIDUAL_BOUND = 1e-8
 
 # Part of the spectrum cache key: bump it whenever a solver change can alter
 # the returned eigenpairs, so spectra cached by the old solver are recomputed.
-EIGENSOLVER_VERSION = 2
+EIGENSOLVER_VERSION = 3
 
 
-# spectrum of the symmetric conjugate lies in [-1, 1]; shifts just outside
-# either end are always safely away from any eigenvalue
+# spectrum of the symmetric conjugate lies in [-1, 1]; a shift just above its
+# top end is always safely away from any eigenvalue
 _SHIFT_OUTSIDE = 1.0 + 1e-6
 
 
@@ -257,40 +259,26 @@ def _sparse_eigensolve(S, num_eigs: int, v0: np.ndarray):
 
     Used on planar-like graphs only, where the sparse LU of S - sigma I stays
     sparse.  The eigenvalues nearest a shift just above +1 are the largest
-    algebraic ones.  Negative eigenvalues can only enter the top-by-modulus
-    set when the bottom of the spectrum reaches below minus the smallest kept
-    value; a cheap probe of the smallest eigenvalue decides whether a second
-    shift-invert solve near the bottom is needed, and the two ends are then
-    merged.  Falls back to plain Lanczos if the factorization fails.
+    algebraic ones; they are the top by modulus unless the bottom of the
+    spectrum reaches below minus the smallest kept value.  A cheap probe of
+    the smallest eigenvalue must prove that it does not.  When it cannot, or
+    the factorization or the probe fails, one plain Lanczos call for the top
+    pairs by modulus answers instead.
     """
-    try:
-        Sc = S.tocsc()
-        vals_hi, vecs_hi = splinalg.eigsh(
-            Sc, k=num_eigs, sigma=_SHIFT_OUTSIDE, which="LM", v0=v0
-        )
-    except (RuntimeError, MemoryError):
-        return splinalg.eigsh(S, k=num_eigs, which="LM", v0=v0)
-
-    kept_min = float(np.min(np.abs(vals_hi)))
     probe_tol = 1e-3
     try:
+        vals, vecs = splinalg.eigsh(
+            S.tocsc(), k=num_eigs, sigma=_SHIFT_OUTSIDE, which="LM", v0=v0
+        )
         bottom = splinalg.eigsh(
             S, k=1, which="SA", v0=v0, tol=probe_tol, return_eigenvectors=False
         )
         # Ritz values sit inside the spectrum; widen by the residual bound
-        bottom_lb = float(bottom[0]) - 10.0 * probe_tol - 1e-3
-        inconclusive = bottom_lb <= -kept_min
-        sigma_lo = bottom_lb - 0.05
-    except splinalg.ArpackNoConvergence:
-        inconclusive = True
-        sigma_lo = -_SHIFT_OUTSIDE
-    if not inconclusive:
-        return vals_hi, vecs_hi
-
-    vals_lo, vecs_lo = splinalg.eigsh(
-        Sc, k=num_eigs, sigma=sigma_lo, which="LM", v0=v0
-    )
-    return np.concatenate([vals_hi, vals_lo]), np.hstack([vecs_hi, vecs_lo])
+        if float(bottom[0]) - 10.0 * probe_tol - 1e-3 > -float(np.min(np.abs(vals))):
+            return vals, vecs
+    except (RuntimeError, MemoryError):  # ArpackNoConvergence is a RuntimeError
+        pass
+    return splinalg.eigsh(S, k=num_eigs, which="LM", v0=v0)
 
 
 def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
@@ -300,20 +288,18 @@ def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
     dense symmetric solver runs when n is small or nearly all eigenpairs are
     requested.  Otherwise the two-hop growth of S's pattern picks the sparse
     solver: on a planar-like graph (growth at most 4) shift-invert Lanczos,
-    whose factorization keeps iteration counts flat as n grows; on any other
-    graph one plain Lanczos call for the top pairs by modulus, negative ones
-    included.  Every path solves to machine precision, and the returned pairs
-    are checked: a residual ||S v - lambda v|| above 1e-8 raises
-    NumericalError.  Eigenvectors are converted to right eigenvectors of P
-    by dividing by sqrt(stationary).
+    whose factorization keeps iteration counts flat as n grows, with plain
+    Lanczos as its one fallback; on any other graph one plain Lanczos call
+    for the top pairs by modulus, negative ones included.  Every path solves
+    to machine precision, and the returned pairs are checked: a residual
+    ||S v - lambda v|| above 1e-8 raises NumericalError.  Eigenvectors are
+    converted to right eigenvectors of P by dividing by sqrt(stationary).
     """
     n = mc.n
     if not 1 <= num_eigs <= n:
         raise ValueError(f"need 1 <= num_eigs <= n, got num_eigs={num_eigs}, n={n}")
     S = _symmetric_conjugate(mc)
-    if n <= _DENSE_EIG_CUTOFF or num_eigs > n - 2 or 2 * num_eigs + 2 > n:
-        import scipy.linalg
-
+    if n <= _DENSE_EIG_CUTOFF or 2 * num_eigs + 2 > n:
         evals, evecs = scipy.linalg.eigh(S.toarray())
     else:
         v0 = np.full(n, 1.0 / math.sqrt(n))
@@ -364,8 +350,8 @@ def truncate_small_eigenvalues(
 ) -> SpectralDecomposition:
     """Drop trailing eigenpairs with |eigenvalue| below min_magnitude.
 
-    Keeps at least the leading eigenpair.  Used by the default pipeline so
-    numerically-null directions never enter the embedding.
+    Keeps at least the leading eigenpair.  The default 1e-8 is the pipeline's
+    floor: below it an eigenpair carries no usable geometry at any positive t.
     """
     keep = max(1, int(np.sum(np.abs(spec.eigenvalues) >= min_magnitude)))
     if keep == spec.num_eigs:

@@ -171,10 +171,9 @@ def separation_diagnostics(
 
     maximizers = np.empty(len(classes), dtype=np.int64)
     for ci, c in enumerate(classes):
+        # classwise density peak; members ascend, so ties go to the smaller index
         members = np.flatnonzero(truth == c)
-        # classwise density peak, ties to the smaller index
-        best = members[np.lexsort((members, -dens.p[members]))[0]]
-        maximizers[ci] = best
+        maximizers[ci] = members[density_descending_order(dens.p[members])[0]]
     mode_density = dens.p[maximizers]
     max_mode = float(mode_density.max())
     min_mode = float(mode_density.min())

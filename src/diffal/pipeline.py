@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import DiffusionCache, content_key
+from .cache import DiffusionCache, params_key, points_hash
 from .dataset import DataError, PointCloud
 from .geometry import (
     DensityEstimate,
@@ -36,9 +36,6 @@ from .graph import (
     spectral_decompose,
     truncate_small_eigenvalues,
 )
-
-# eigenpairs below this modulus carry no usable geometry at any positive t
-MIN_EIGENVALUE_MAGNITUDE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -92,7 +89,8 @@ def build_model(
     neighbors = None
     nb_key = None
     if cache is not None:
-        nb_key = content_key(cloud.points, kind="neighbors", k=k)
+        points_state = points_hash(cloud.points)
+        nb_key = params_key(points_state, kind="neighbors", k=k)
         neighbors = cache.load_neighbors(nb_key, shape=(n, k))
     if neighbors is None:
         neighbors = knn_search(cloud, k)
@@ -113,8 +111,8 @@ def build_model(
     spectrum = None
     eig_key = None
     if cache is not None:
-        eig_key = content_key(
-            cloud.points, kind="spectrum", k=k, sigma=sigma, num_eigs=num_eigs,
+        eig_key = params_key(
+            points_state, kind="spectrum", k=k, sigma=sigma, num_eigs=num_eigs,
             solver=EIGENSOLVER_VERSION,
         )
         spectrum = cache.load_spectrum(eig_key, shape=(n, num_eigs))
@@ -123,7 +121,7 @@ def build_model(
         spectrum = spectral_decompose(chain, num_eigs)
         if cache is not None:
             cache.save_spectrum(eig_key, spectrum)
-    spectrum = truncate_small_eigenvalues(spectrum, MIN_EIGENVALUE_MAGNITUDE)
+    spectrum = truncate_small_eigenvalues(spectrum)
 
     density = kde(cloud, k, sigma0, neighbors=neighbors)
     return DiffusionModel(

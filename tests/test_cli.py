@@ -357,3 +357,89 @@ class TestConfigAndExitCodes:
             ) == 2
             assert capsys.readouterr().err.startswith("config error:")
             assert not out.exists()
+
+
+def _auto_time(cloud, truth):
+    """The auto-t rule through the library: the median (upper middle) of the
+    times on the log10 grid 0:6:0.5 whose estimated cluster count is the
+    number of classes."""
+    model = da.build_model(cloud)
+    num_classes = np.unique(truth[truth > 0]).size
+    matches = []
+    for t in da.log_t_grid(0.0, 6.0, 0.5):
+        try:
+            if da.estimate_num_clusters(model.scores_at(t)[1]) == num_classes:
+                matches.append(float(t))
+        except da.NumericalError:
+            continue
+    assert matches
+    return matches[len(matches) // 2]
+
+
+class TestAutoTimeAndRawCube:
+    def test_bench_auto_t_is_the_median_matching_time(self, tmp_path):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(
+            "dataset = gaussians\ndata_seed = 11\nsizes = 50,50,50\nstddev = 0.5\n"
+            "means = 0,0;6,0;3,5\nt = auto\nbudgets = 3\nmethods = land\n"
+        )
+        out = tmp_path / "out"
+        assert run_cli("bench", "--config", str(cfg), "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        cloud, truth = da.gen_gaussians(
+            [[0.0, 0.0], [6.0, 0.0], [3.0, 5.0]], 0.5, [50, 50, 50], 11
+        )
+        assert manifest["resolved"]["t"] == _auto_time(cloud, truth)
+
+    def test_lund_auto_t_writes_the_bytes_of_its_time(self, small_dataset, tmp_path):
+        points, labels, cloud, truth = small_dataset
+        t = _auto_time(cloud, truth)
+        auto, fixed = tmp_path / "auto.txt", tmp_path / "fixed.txt"
+        args = ["lund", "--data", str(points), "--truth", str(labels)]
+        assert run_cli(*args, "--t", "auto", "--out", str(auto)) == 0
+        assert run_cli(*args, "--t", repr(t), "--out", str(fixed)) == 0
+        assert auto.read_bytes() == fixed.read_bytes()
+
+    def test_lund_on_a_raw_cube_matches_the_library(self, tmp_path):
+        rng = np.random.default_rng(7)
+        header = da.HsiCubeHeader(rows=10, cols=12, bands=20, dtype="float32")
+        endmembers = rng.uniform(size=(3, header.bands))
+        region = np.repeat(np.arange(3), header.n_pixels // 3)
+        pixels = endmembers[region] + 0.05 * rng.normal(size=(header.n_pixels, header.bands))
+        cube, hdr = tmp_path / "cube.bsq", tmp_path / "cube.hdr"
+        da.save_hsi_cube(cube, da.PointCloud(pixels), header)
+        da.save_hsi_header(hdr, header)
+        out = tmp_path / "labels.txt"
+        assert run_cli(
+            "lund", "--data", str(cube), "--hsi-header", str(hdr),
+            "--t", "10", "--num-clusters", "3", "--out", str(out),
+        ) == 0
+        model = da.build_model(da.load_hsi_cube(cube, da.load_hsi_header(hdr)))
+        emb, scores = model.scores_at(10.0)
+        want = da.lund_k(scores, model.density, emb, 3).labels
+        assert np.array_equal(da.load_labels(out), want)
+
+
+class TestOutputPaths:
+    def test_missing_output_directory_fails_before_the_graph(self, tmp_path, capsys):
+        # this cloud's default sigma is 0, a data error of the graph build,
+        # so exit 2 shows that the output paths were checked first
+        base = np.random.default_rng(29).normal(size=(20, 3))
+        points, labels = tmp_path / "dups.csv", tmp_path / "truth.txt"
+        da.save_csv(points, da.PointCloud(np.repeat(base, 30, axis=0)))
+        da.save_labels(labels, np.repeat(np.arange(1, 21), 30))
+        missing = str(tmp_path / "missing" / "out.txt")
+        ok = str(tmp_path / "ok.txt")
+        data = ["--data", str(points), "--truth", str(labels)]
+        calls = [
+            ["lund", *data, "--t", "100", "--out", missing],
+            ["lund", *data, "--t", "100", "--out", ok, "--scores-out", missing],
+            ["land", *data, "--t", "100", "--budget", "3", "--out", missing],
+            ["scan-t", *data, "--t-grid", "0:1:1", "--out", missing],
+            ["purity", *data, "--t", "100", "--levels", "3", "--out", missing],
+        ]
+        for argv in calls:
+            assert run_cli(*argv) == 2, argv
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("config error:") and "\n" not in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["dups.csv", "truth.txt"]

@@ -184,3 +184,75 @@ class TestUntrustedCacheEntries:
         self._assert_same(da.build_model(cloud, k=self.K, cache_dir=tmp_path), fresh)
         loaded = cache.load_spectrum(key, shape=(cloud.n, num_eigs))
         assert loaded.eigenvalues.shape == (num_eigs,)
+
+
+def _no_convergence(*args, **kwargs):
+    raise graph.splinalg.ArpackNoConvergence("no convergence", np.zeros(3), None)
+
+
+def _failed_factorization(*args, **kwargs):
+    raise RuntimeError("Factor is exactly singular")
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+def _inconclusive_probe(*args, **kwargs):
+    return np.array([-1.0])
+
+
+class TestHandover:
+    """Shift-invert keeps its pairs only when the bottom probe proves them;
+    every other outcome hands over to one plain Lanczos call."""
+
+    @staticmethod
+    def _record_eigsh(monkeypatch, **faults):
+        """Replace eigsh with a recorder of its calls as "shift", "probe" or
+        "plain"; a call of a kind named in faults goes to that fault."""
+        calls = []
+        real = graph.splinalg.eigsh
+
+        def eigsh(*args, **kwargs):
+            kind = ("shift" if kwargs.get("sigma") is not None
+                    else "probe" if kwargs.get("which") == "SA" else "plain")
+            calls.append(kind)
+            return faults.get(kind, real)(*args, **kwargs)
+
+        monkeypatch.setattr(graph.splinalg, "eigsh", eigsh)
+        return calls
+
+    @pytest.mark.parametrize("faults, want", [
+        ({}, ["shift", "probe"]),
+        ({"probe": _inconclusive_probe}, ["shift", "probe", "plain"]),
+        ({"probe": _no_convergence}, ["shift", "probe", "plain"]),
+        ({"shift": _failed_factorization}, ["shift", "plain"]),
+        ({"shift": _out_of_memory}, ["shift", "plain"]),
+    ])
+    def test_every_outcome_matches_dense_eigh(self, monkeypatch, faults, want):
+        mc = _chain(_cloud(2))
+        calls = self._record_eigsh(monkeypatch, **faults)
+        spec = da.spectral_decompose(mc, NUM_EIGS)
+        assert calls == want
+        evals = scipy.linalg.eigh(_symmetric_conjugate(mc).toarray(), eigvals_only=True)
+        order = np.lexsort((-evals, -np.abs(evals)))
+        assert np.max(np.abs(spec.eigenvalues - evals[order[:NUM_EIGS]])) <= 1e-10
+
+    @pytest.mark.parametrize("dim, want", [(2, ["shift", "plain"]), (5, ["plain"])])
+    def test_plain_lanczos_without_convergence_exits_4(
+        self, monkeypatch, tmp_path, capsys, dim, want
+    ):
+        # on the 2-D cloud the factorization fails first, so the failure
+        # comes from the handover
+        calls = self._record_eigsh(
+            monkeypatch, shift=_failed_factorization, plain=_no_convergence
+        )
+        points = tmp_path / "points.csv"
+        da.save_csv(points, da.PointCloud(_cloud(dim, n=400)))
+        out = tmp_path / "labels.txt"
+        assert main(["lund", "--data", str(points), "--t", "10", "--out", str(out)]) == 4
+        assert calls == want
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure:") and "did not converge (3/25" in err
+        assert "\n" not in err
+        assert not out.exists()
