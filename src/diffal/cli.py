@@ -235,12 +235,19 @@ def _trial_seed(root_seed: int, method: str, trial: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def _check_output_dir(path) -> None:
+    """An output directory path that names an existing file is a config error."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ConfigError(f"output directory {path} is an existing file")
+
+
 def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
     """Run the configured methods over the budget grid; emit CSV + manifest.
 
     Returns (results_csv_path, manifest_path).  Rows are sorted before
     writing and contain no timestamps, so reruns are byte-identical.
     """
+    _check_output_dir(out_dir)
     methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
@@ -376,8 +383,11 @@ def _cfg_from_args(args) -> dict:
 
 def _read_inputs(args, *outputs) -> tuple[dict, PointCloud, np.ndarray | None]:
     """(cfg, cloud, truth) of a command; first, an output file (None: not
-    asked for) whose directory does not exist is a config error."""
+    asked for) that is a directory, or whose directory does not exist, is a
+    config error."""
     for path in filter(None, outputs):
+        if os.path.isdir(path):
+            raise ConfigError(f"output file {path} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise ConfigError(f"the directory of output file {path} does not exist")
     cfg = _cfg_from_args(args)
@@ -402,6 +412,7 @@ def cmd_gen_data(args) -> int:
     cfg = _cfg_from_args(args)
     if cfg["dataset"] not in GENERATORS:
         raise ConfigError(f"gen-data needs a generator dataset, got {cfg['dataset']!r}")
+    _check_output_dir(args.out)
     os.makedirs(args.out, exist_ok=True)
     if cfg["dataset"] == "hierarchical":
         cloud, truth4, truth2 = gen_hierarchical(

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .dataset import PointCloud
 from .graph import (
@@ -26,6 +25,7 @@ from .graph import (
     NumericalError,
     SpectralDecomposition,
     _exact_search,
+    _tree_proposer,
     knn_search,
 )
 
@@ -173,7 +173,7 @@ def nearest_denser_points(
 
     rows = np.setdiff1d(np.arange(n), [imax])
     idx, dist = _exact_search(
-        coords, cKDTree(coords), rows, 1,
+        coords, _tree_proposer(coords), rows, 1,
         max(8, 2 * math.ceil(math.log2(n)) + 2), denser,
     )
     dist_out = np.empty(n, dtype=np.float64)

@@ -14,11 +14,16 @@ shift-invert pairs the top ones by modulus.  Every returned eigenpair is
 checked by its residual, and a wrong one raises NumericalError.
 
 Both exact neighbor searches, kNN here and the nearest-denser search in
-geometry, run on one engine, _exact_search.  It proposes candidates with a
-kd-tree, recomputes every reported distance with plain numpy arithmetic, and
+geometry, run on one engine, _exact_search.  A candidate generator proposes
+candidates and a lower bound on the distance of every other point; the
+engine recomputes every reported distance with plain numpy arithmetic, and
 widens the candidate set fourfold per round (up to a full scan) for the rows
-it cannot yet prove complete.  Results, including tie-breaking by smaller
-index at equal distance, are bitwise identical to a brute-force double loop.
+it cannot yet prove complete.  There are two generators: a kd-tree, and
+blocked GEMM over the squared-norm expansion, whose bound subtracts an error
+term derived from the point norms.  kNN takes GEMM above _TREE_MAX_DIM
+dimensions and the tree at or below; the nearest-denser search always takes
+the tree.  Results, including tie-breaking by smaller index at equal
+distance, are bitwise identical to a brute-force double loop.
 """
 
 from __future__ import annotations
@@ -112,17 +117,17 @@ class SpectralDecomposition:
         return self.eigenvalues.shape[0]
 
 
-def _exact_search(coords, tree, rows, k, m, accept):
+def _exact_search(coords, propose, rows, k, m, accept):
     """The k accepted points nearest each of coords[rows], as (indices, distances).
 
-    Each round asks the kd-tree for m candidates per pending row, recomputes
-    their distances with numpy, masks them with accept(rows, cand), and
-    keeps the k smallest per row by (distance, index).  A row is finished
-    once its k-th distance lies below the tree's m-th distance by the
-    boundary margin, since no point outside the candidates can then be
-    closer.  The other rows go to the next round with 4m candidates; once
-    m reaches n a full scan finishes them.  Every row must have at least k
-    acceptable points.
+    Each round asks propose(r, m) for m candidates per pending row and a
+    per-row bound below the distance of every point outside them, recomputes
+    the candidates' distances with numpy, masks them with accept(rows, cand),
+    and keeps the k smallest per row by (distance, index).  A row is
+    finished once its k-th distance lies below its bound, since no point
+    outside the candidates can then be closer.  The other rows go to the
+    next round with 4m candidates; once m reaches n a full scan finishes
+    them.  Every row must have at least k acceptable points.
     """
     n, dim = coords.shape
     out_idx = np.empty((rows.size, k), dtype=np.int64)
@@ -138,12 +143,13 @@ def _exact_search(coords, tree, rows, k, m, accept):
             if m == n:
                 cand, bound = np.broadcast_to(np.arange(n), (r.size, n)), np.inf
             else:
-                qd, cand = tree.query(coords[r], k=m)
-                bound = qd[:, -1] * (1.0 - _BOUNDARY_MARGIN)
+                cand, bound = propose(r, m)
             # einsum reduces sequentially whatever the array shape, so these
             # distances are bitwise identical to a brute-force double loop
-            diff = coords[cand] - coords[r, None, :]
+            diff = coords[cand]
+            diff -= coords[r, None, :]
             dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+            del diff  # the largest array of a block; free it before the next
             ok = accept(r, cand)
             dist = np.where(ok, dist, np.inf)
             idx = np.where(ok, cand, n)
@@ -159,20 +165,86 @@ def _exact_search(coords, tree, rows, k, m, accept):
     return out_idx, out_dist
 
 
+def _tree_proposer(coords):
+    """Candidates from a kd-tree: the m nearest by the tree's distances.
+
+    The bound is the m-th of them less the boundary margin, which covers
+    the disagreement between the tree's arithmetic and numpy's.
+    """
+    tree = cKDTree(coords)
+
+    def propose(r, m):
+        qd, cand = tree.query(coords[r], k=m)
+        return cand, qd[:, -1] * (1.0 - _BOUNDARY_MARGIN)
+
+    return propose
+
+
+def _gemm_proposer(coords):
+    """Candidates from blocked GEMM: the m smallest squared distances
+    |x|^2 + |y|^2 - 2 x.y of the centred points, one matrix product per block.
+
+    The bound is the (m+1)-th smallest such value less an error term, so it
+    lies below the numpy distance of every point outside the candidates.
+    With u = eps/2 the unit roundoff, D = dim, x and y centred, and
+    s = |x| + max|y| (so |x - y| <= s):
+      - the doubled dot product is off by at most 2 D u |x||y|, and the
+        squared norms by D u |x|^2 and D u |y|^2: D u s^2 together;
+      - the two additions round once each: 2 u s^2;
+      - centring moves each coordinate of x - y by at most u (|x_i| + |y_i|),
+        so the squared distance moves by at most 2 u s^2;
+      - the numpy recompute of the squared distance it is compared with
+        differs from the exact one by at most (D + 2) u s^2 (D rounded
+        squares of rounded differences, D - 1 additions), and the bound's
+        subtraction rounds once more: u s^2.
+    That is (2D + 7) u s^2; gamma = (D + 4) eps = (2D + 8) u leaves one u
+    for the second-order terms.  Blocks of rows are sized so that rows * n
+    stays within _BLOCK_ELEMENTS.
+    """
+    n, dim = coords.shape
+    centred = coords - coords.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centred, centred)
+    norms = np.sqrt(sq)
+    gamma = (dim + 4) * np.finfo(np.float64).eps
+    reach = norms.max()
+    step = max(1, _BLOCK_ELEMENTS // n)
+
+    def propose(r, m):
+        cand = np.empty((r.size, m), dtype=np.int64)
+        bound = np.empty(r.size)
+        for start in range(0, r.size, step):
+            b = r[start:start + step]
+            d2 = centred[b] @ centred.T
+            d2 *= -2.0
+            d2 += sq
+            d2 += sq[b, None]
+            part = np.argpartition(d2, m, axis=1)
+            cand[start:start + step] = part[:, :m]
+            beyond = np.take_along_axis(d2, part[:, m:m + 1], axis=1)[:, 0]
+            lower = beyond - gamma * (norms[b] + reach) ** 2
+            bound[start:start + step] = np.sqrt(np.maximum(lower, 0.0))
+        return cand, bound
+
+    return propose
+
+
 def knn_search(cloud: PointCloud, k: int) -> NeighborLists:
     """Exact k nearest neighbors in Euclidean distance.
 
     Distance ties are broken by smaller index, so the output is
-    deterministic and matches a brute-force scan exactly.  The search
-    starts from k + 2 tree candidates, one for the point itself and one
-    beyond the k-th neighbor to prove it.
+    deterministic and matches a brute-force scan exactly.  Candidates come
+    from a kd-tree up to _TREE_MAX_DIM dimensions and from blocked GEMM
+    above it, where the tree prunes little.  The search starts from k + 2
+    candidates, one for the point itself and one beyond the k-th neighbor
+    to prove it.
     """
     n = cloud.n
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     points = cloud.points
+    proposer = _gemm_proposer if cloud.dim > _TREE_MAX_DIM else _tree_proposer
     idx, dist = _exact_search(
-        points, cKDTree(points), np.arange(n), k, k + 2,
+        points, proposer(points), np.arange(n), k, k + 2,
         lambda rows, cand: cand != rows[:, None],
     )
     return NeighborLists(indices=idx, distances=dist)
@@ -222,6 +294,25 @@ _DENSE_EIG_CUTOFF = 300
 # Only there does the sparse LU behind shift-invert stay sparse; on graphs
 # that grow faster it fills in to a nearly dense matrix and plain Lanczos wins.
 _PLANAR_GROWTH = 4.0
+
+# Dimension at or below which knn_search takes its candidates from a kd-tree;
+# above it, from blocked GEMM.  The tree prunes well in few dimensions and
+# almost nothing in many, while the cost of GEMM grows slowly with dimension.
+# Seconds per search on Gaussian clouds, BLAS on one thread:
+#
+#   n x dim        kd-tree   GEMM
+#   9 000 x 2       0.05     0.85
+#   5 000 x 5       0.10     0.24
+#   5 000 x 8       0.26     0.24
+#   20 000 x 8      2.49     3.52
+#   5 000 x 10      0.44     0.24
+#   20 000 x 10     5.39     3.42
+#   5 000 x 25      1.15     0.35
+#   5 000 x 200     5.26     0.61
+#
+# The nearest-denser search stays on the tree in every dimension: lambda^t
+# shrinks most columns of the diffusion embedding, so the tree prunes well.
+_TREE_MAX_DIM = 8
 
 # evenly spaced rows sampled to measure the two-hop growth
 _GROWTH_ROWS = 64

@@ -420,6 +420,16 @@ class TestAutoTimeAndRawCube:
         assert np.array_equal(da.load_labels(out), want)
 
 
+def _duplicate_cloud(tmp_path):
+    """20 points 30 times each, with truth: reading them is fine, but the
+    default sigma is 0, a data error of the graph build."""
+    base = np.random.default_rng(29).normal(size=(20, 3))
+    points, labels = tmp_path / "dups.csv", tmp_path / "truth.txt"
+    da.save_csv(points, da.PointCloud(np.repeat(base, 30, axis=0)))
+    da.save_labels(labels, np.repeat(np.arange(1, 21), 30))
+    return points, labels
+
+
 class TestOutputPaths:
     def test_missing_output_directory_fails_before_the_graph(self, tmp_path, capsys):
         # this cloud's default sigma is 0, a data error of the graph build,
@@ -443,3 +453,53 @@ class TestOutputPaths:
             err = capsys.readouterr().err.strip()
             assert err.startswith("config error:") and "\n" not in err
             assert sorted(p.name for p in tmp_path.iterdir()) == ["dups.csv", "truth.txt"]
+
+    def test_output_file_that_is_a_directory_fails_before_the_graph(self, tmp_path, capsys):
+        # exit 2 instead of the duplicate cloud's data error shows that the
+        # output paths were checked before any graph work
+        points, labels = _duplicate_cloud(tmp_path)
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        ok = str(tmp_path / "ok.txt")
+        data = ["--data", str(points), "--truth", str(labels)]
+        calls = [
+            ["lund", *data, "--t", "100", "--out", str(folder)],
+            ["lund", *data, "--t", "100", "--out", ok, "--scores-out", str(folder)],
+            ["land", *data, "--t", "100", "--budget", "3", "--out", str(folder)],
+            ["scan-t", *data, "--t-grid", "0:1:1", "--out", str(folder)],
+            ["purity", *data, "--t", "100", "--levels", "3", "--out", str(folder)],
+        ]
+        for argv in calls:
+            assert run_cli(*argv) == 2, argv
+            err = capsys.readouterr().err.strip()
+            assert err.startswith("config error:") and "\n" not in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["dups.csv", "folder", "truth.txt"]
+            assert list(folder.iterdir()) == []
+
+    def test_bench_output_directory_that_is_a_file_fails_before_any_work(
+        self, tmp_path, capsys
+    ):
+        # the duplicate cloud would be a data error (exit 3) once built
+        points, labels = _duplicate_cloud(tmp_path)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"dataset = {points}\ntruth = {labels}\nt = 100\n")
+        target = tmp_path / "afile"
+        target.write_text("keep\n")
+        assert run_cli("bench", "--config", str(cfg), "--out", str(target)) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and "\n" not in err
+        assert target.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "afile", "bench.cfg", "dups.csv", "truth.txt"]
+
+    def test_gen_data_output_directory_that_is_a_file_is_a_config_error(
+        self, tmp_path, capsys
+    ):
+        target = tmp_path / "afile"
+        target.write_text("keep\n")
+        assert run_cli("gen-data", "--dataset", "geometric", "--seed", "3",
+                       "--sizes", "40,40,40", "--out", str(target)) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and "\n" not in err
+        assert target.read_text() == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]

@@ -2,11 +2,14 @@
 on tie-heavy, duplicate-heavy integer grids."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffal as da
+from diffal import graph
 from diffal.geometry import nearest_denser_points
+from diffal.graph import _TREE_MAX_DIM
 
 from conftest import brute_force_knn, brute_force_nearest_denser
 
@@ -51,3 +54,95 @@ def test_nearest_denser_points_equals_brute_force(cloud_and_k, data):
     exp_rho, exp_nearest = brute_force_nearest_denser(points, p)
     assert np.array_equal(rho, exp_rho)
     assert np.array_equal(nearest, exp_nearest)
+
+
+# --- the GEMM candidate generator, used above the kd-tree's dimension limit ---
+
+@st.composite
+def padded_grid_clouds(draw):
+    """grid_clouds zero-padded to more than _TREE_MAX_DIM columns, so that
+    knn_search takes its candidates from GEMM."""
+    points, k = draw(grid_clouds())
+    width = draw(st.integers(_TREE_MAX_DIM + 1, _TREE_MAX_DIM + 12))
+    padded = np.zeros((points.shape[0], width))
+    padded[:, :points.shape[1]] = points
+    return padded, k
+
+
+def _assert_knn_is_brute_force(points, k):
+    nb = da.knn_search(da.PointCloud(points), k)
+    indices, distances = brute_force_knn(points, k)
+    assert np.array_equal(nb.indices, indices)
+    assert np.array_equal(nb.distances, distances)
+
+
+@SETTINGS
+@given(padded_grid_clouds())
+def test_gemm_knn_equals_brute_force(cloud_and_k):
+    _assert_knn_is_brute_force(*cloud_and_k)
+
+
+@SETTINGS
+@given(padded_grid_clouds(), st.data())
+def test_gemm_knn_equals_brute_force_far_from_origin(cloud_and_k, data):
+    # +1e8 on every coordinate of a drawn subset (possibly all) of the
+    # points: centring cannot remove it, so the squared-norm expansion
+    # cancels badly and its error term must force wider rounds
+    points, k = cloud_and_k
+    n = points.shape[0]
+    far = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    _assert_knn_is_brute_force(points + 1e8 * np.array(far)[:, None], k)
+
+
+@pytest.mark.parametrize("k", [1, 5, 11])
+def test_gemm_knn_on_two_distant_lattices(k):
+    # {0..3}^3 and a copy 1e8 away on every axis: squared distances that
+    # differ by 1 come out of the expansion with errors far larger than
+    # that, so only the derived error term keeps the search exact
+    lattice = np.array(np.meshgrid(*[np.arange(4.0)] * 3)).reshape(3, -1).T
+    points = np.zeros((128, _TREE_MAX_DIM + 1))
+    points[:64, :3] = lattice
+    points[64:] = 1e8
+    points[64:, :3] += lattice
+    _assert_knn_is_brute_force(points, k)
+
+
+@pytest.fixture()
+def trees_built(monkeypatch):
+    """Shapes of the point sets of every kd-tree built while the test runs."""
+    built = []
+    real = graph.cKDTree
+
+    def spy(data, *args, **kwargs):
+        built.append(np.shape(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(graph, "cKDTree", spy)
+    return built
+
+
+def test_planar_knn_searches_the_kd_tree(trees_built):
+    points = np.random.default_rng(5).normal(size=(300, 2))
+    _assert_knn_is_brute_force(points, 7)
+    assert trees_built == [(300, 2)]
+
+
+@pytest.mark.parametrize("dim", [_TREE_MAX_DIM + 1, 200])
+def test_high_dimensional_knn_builds_no_kd_tree(trees_built, dim):
+    points = np.random.default_rng(6).normal(size=(300, dim))
+    _assert_knn_is_brute_force(points, 7)
+    assert trees_built == []
+
+
+@pytest.mark.parametrize("width", [2, _TREE_MAX_DIM + 1, 40])
+def test_nearest_denser_points_searches_the_kd_tree(trees_built, width):
+    rng = np.random.default_rng(7)
+    coords = rng.normal(size=(300, width))
+    p = rng.integers(0, 4, size=300).astype(float)
+    emb = da.DiffusionEmbedding(coords=coords, t=1.0)
+    dens = da.DensityEstimate(p=p, k_density=1, sigma0=1.0)
+    rho, nearest = nearest_denser_points(emb, dens)
+    exp_rho, exp_nearest = brute_force_nearest_denser(coords, p)
+    assert np.array_equal(rho, exp_rho)
+    assert np.array_equal(nearest, exp_nearest)
+    assert trees_built == [(300, width)]
