@@ -23,10 +23,12 @@ import numpy as np
 
 from . import __version__
 from .baselines import cbal, cut_sequence, land_random, linkage
-from .datagen import gen_bottleneck, gen_gaussians, gen_geometric, gen_hierarchical
+from .datagen import (HIERARCHICAL_COARSE, gen_bottleneck, gen_gaussians, gen_geometric,
+                      gen_hierarchical)
 from .dataset import (
     DataError,
     PointCloud,
+    _read_lines,
     load_csv,
     load_hsi_cube,
     load_hsi_header,
@@ -88,18 +90,12 @@ AUTO_T_GRID = (0.0, 6.0, 0.5)  # log10 bounds and step for the automatic t scan
 
 
 def parse_config(path) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"no such config file: {path}")
     cfg: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: line {lineno} is not `key = value`")
-            key, value = (part.strip() for part in line.split("=", 1))
-            cfg[key] = value
+    for lineno, line in _read_lines(path, ConfigError, comments=True):
+        if "=" not in line:
+            raise ConfigError(f"{path}: line {lineno} is not `key = value`")
+        key, value = (part.strip() for part in line.split("=", 1))
+        cfg[key] = value
     return coerce_config(cfg)
 
 
@@ -175,6 +171,8 @@ def resolve_dataset(cfg: dict, args=None) -> tuple[PointCloud, np.ndarray | None
 
 
 def build_model_from_config(cfg: dict, cloud: PointCloud) -> DiffusionModel:
+    if cfg.get("cache") is not None:
+        _check_output_dir(cfg["cache"])
     return build_model(
         cloud,
         k=cfg.get("k"),
@@ -187,6 +185,18 @@ def build_model_from_config(cfg: dict, cloud: PointCloud) -> DiffusionModel:
 
 def _num_classes(truth: np.ndarray) -> int:
     return int(np.unique(truth[truth > 0]).size)
+
+
+def _scan(model: DiffusionModel, grid):
+    """Yield (t, (embedding, scores, k̂)) for each t of grid, in order, or
+    (t, error) for a t whose scoring raises NumericalError."""
+    for t in grid:
+        try:
+            emb, scores = model.scores_at(t)
+            step = emb, scores, estimate_num_clusters(scores)
+        except NumericalError as exc:
+            step = exc
+        yield t, step
 
 
 def choose_time(build, cfg: dict, truth: np.ndarray | None) -> float:
@@ -206,17 +216,10 @@ def choose_time(build, cfg: dict, truth: np.ndarray | None) -> float:
             raise ConfigError(f"bad diffusion time {raw!r}") from None
     if truth is None:
         raise ConfigError("--t auto needs --truth to count classes")
-    model = build()
     num_classes = _num_classes(truth)
     grid = log_t_grid(*AUTO_T_GRID)
-    matches = []
-    for t in grid:
-        try:
-            _, scores = model.scores_at(t)
-            if estimate_num_clusters(scores) == num_classes:
-                matches.append(t)
-        except NumericalError:
-            continue
+    matches = [t for t, step in _scan(build(), grid)
+               if not isinstance(step, NumericalError) and step[2] == num_classes]
     if matches:
         return float(matches[len(matches) // 2])
     return float(grid[len(grid) // 2])
@@ -344,15 +347,13 @@ def scan_t(cfg: dict, cloud: PointCloud, truth: np.ndarray | None,
     with open(out_path, "w", encoding="utf-8") as fh:
         top_cols = ",".join(f"score_{i}" for i in range(1, 11))
         fh.write(f"t_log10,k_hat,d_in,d_btw,{top_cols}\n")
-        for t in grid:
+        for t, step in _scan(model, grid):
             log10_t = float(np.log10(t))
-            try:
-                emb, scores = model.scores_at(t)
-                k_hat = str(estimate_num_clusters(scores))
-            except NumericalError as exc:
-                warnings.warn(f"scan skipped t=10^{log10_t:g}: {exc}", stacklevel=2)
+            if isinstance(step, NumericalError):
+                warnings.warn(f"scan skipped t=10^{log10_t:g}: {step}", stacklevel=2)
                 fh.write(f"{log10_t!r},,,," + "," * 9 + "\n")
                 continue
+            emb, scores, k_hat = step
             d_in = d_btw = ""
             if truth is not None:
                 diag = separation_diagnostics(emb, model.density, truth)
@@ -414,14 +415,10 @@ def cmd_gen_data(args) -> int:
         raise ConfigError(f"gen-data needs a generator dataset, got {cfg['dataset']!r}")
     _check_output_dir(args.out)
     os.makedirs(args.out, exist_ok=True)
+    cloud, truth, _ = resolve_dataset(cfg)
     if cfg["dataset"] == "hierarchical":
-        cloud, truth4, truth2 = gen_hierarchical(
-            cfg["data_seed"], cfg.get("per_cluster", 500), cfg.get("stddev", 0.2)
-        )
-        save_labels(os.path.join(args.out, "truth_coarse.txt"), truth2)
-        truth = truth4
-    else:
-        cloud, truth, _ = resolve_dataset(cfg)
+        coarse = np.asarray(HIERARCHICAL_COARSE)[truth - 1]
+        save_labels(os.path.join(args.out, "truth_coarse.txt"), coarse)
     save_csv(os.path.join(args.out, "points.csv"), cloud)
     save_labels(os.path.join(args.out, "truth.txt"), truth)
     manifest = {
@@ -631,10 +628,11 @@ def main(argv=None) -> int:
     except NumericalError as exc:  # a ValueError, so it is caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
-    except DataError as exc:
+    # in the CLI an oracle's budget runs out only when --interactive input closes
+    except (DataError, BudgetExceededError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, BudgetExceededError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -75,28 +75,42 @@ def validate_labels(labels, n: int | None = None, complete: bool = False) -> np.
     return arr
 
 
+def _read_lines(path, error=DataError, comments=False):
+    """Yield (line number, stripped line) for each non-blank line of a UTF-8
+    text file, read lazily, with `#` comments cut when asked.  Any failure to
+    read it (missing, a directory, no permission, not UTF-8) raises `error`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if comments:
+                    line = line.split("#", 1)[0]
+                line = line.strip()
+                if line:
+                    yield lineno, line
+    except FileNotFoundError:
+        raise error(f"no such file: {path}") from None
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_csv(path) -> PointCloud:
     """Load a comma-separated point file; row i becomes point index i."""
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
     rows: list[list[float]] = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise DataError(
-                    f"{path}: row {lineno} has {len(fields)} fields, expected {width}"
-                )
-            try:
-                rows.append([float(f) for f in fields])
-            except ValueError:
-                raise DataError(f"{path}: non-numeric field in row {lineno}") from None
+    for lineno, line in _read_lines(path):
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise DataError(
+                f"{path}: row {lineno} has {len(fields)} fields, expected {width}"
+            )
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            raise DataError(f"{path}: non-numeric field in row {lineno}") from None
     if not rows:
         raise DataError(f"{path}: file contains no data rows")
     return PointCloud(np.array(rows, dtype=np.float64))
@@ -117,21 +131,15 @@ def save_labels(path, labels) -> None:
 
 
 def load_labels(path) -> np.ndarray:
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
     values: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                v = int(line)
-            except ValueError:
-                raise DataError(f"{path}: non-integer label in line {lineno}") from None
-            if v < 0:
-                raise DataError(f"{path}: negative label in line {lineno}")
-            values.append(v)
+    for lineno, line in _read_lines(path):
+        try:
+            v = int(line)
+        except ValueError:
+            raise DataError(f"{path}: non-integer label in line {lineno}") from None
+        if v < 0:
+            raise DataError(f"{path}: negative label in line {lineno}")
+        values.append(v)
     if not values:
         raise DataError(f"{path}: empty label file")
     return np.array(values, dtype=np.int64)
@@ -181,18 +189,12 @@ class HsiCubeHeader:
 
 def load_hsi_header(path) -> HsiCubeHeader:
     """Parse a header file with one `key value` pair per line."""
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
     fields: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.replace("=", " ").split()
-            if len(parts) != 2:
-                raise DataError(f"{path}: malformed header line {lineno}: {line!r}")
-            fields[parts[0].lower()] = parts[1]
+    for lineno, line in _read_lines(path, comments=True):
+        parts = line.replace("=", " ").split()
+        if len(parts) != 2:
+            raise DataError(f"{path}: malformed header line {lineno}: {line!r}")
+        fields[parts[0].lower()] = parts[1]
     try:
         return HsiCubeHeader(
             rows=int(fields["rows"]),

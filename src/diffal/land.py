@@ -13,13 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import validate_labels
+from .dataset import DataError, validate_labels
 from .geometry import DensityEstimate, DiffusionEmbedding, ModeScores
 from .lund import propagate_labels
 
 
 class BudgetExceededError(Exception):
     """A query was attempted beyond the oracle's budget."""
+
+
+class _ReplyError(DataError, ValueError):
+    """A reply that is not a class id: a ValueError to the API, exit 3 in the CLI."""
 
 
 class _MemoOracle:
@@ -98,9 +102,9 @@ class InteractiveOracle(_MemoOracle):
         try:
             label = int(line.strip())
         except ValueError:
-            raise ValueError(f"oracle reply {line.strip()!r} is not an integer") from None
+            raise _ReplyError(f"oracle reply {line.strip()!r} is not an integer") from None
         if label < 1:
-            raise ValueError(f"oracle reply must be a class id >= 1, got {label}")
+            raise _ReplyError(f"oracle reply must be a class id >= 1, got {label}")
         return label
 
 
@@ -137,7 +141,7 @@ def _query_and_propagate(
             label = int(oracle.query(int(idx)))
         except BudgetExceededError as exc:
             err = BudgetExceededError(
-                f"oracle refused query {pos + 1} of {budget} (point {int(idx)})"
+                f"oracle refused query {pos + 1} of {budget} (point {int(idx)}): {exc}"
             )
             err.queried_indices = targets[:pos].copy()
             err.partial_labels = seeds.copy()

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -503,3 +504,108 @@ class TestOutputPaths:
         assert err.startswith("config error:") and "\n" not in err
         assert target.read_text() == "keep\n"
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
+
+def _one_line(capsys, kind):
+    err = capsys.readouterr().err.strip()
+    return err.startswith(f"{kind} error:") and "\n" not in err
+
+
+class TestUnreadableInputs:
+    def test_directory_as_an_input_file_is_a_data_error(self, small_dataset, tmp_path, capsys):
+        points, labels, _, _ = small_dataset
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        out = tmp_path / "labels.txt"
+        calls = [
+            ["--data", str(folder)],
+            ["--data", str(points), "--truth", str(folder)],
+            ["--data", str(points), "--hsi-header", str(folder)],
+        ]
+        for flags in calls:
+            assert run_cli("lund", *flags, "--t", "100", "--out", str(out)) == 3, flags
+            assert _one_line(capsys, "data")
+            assert not out.exists()
+
+    def test_directory_as_config_is_a_config_error(self, tmp_path, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        assert run_cli("bench", "--config", str(folder), "--out", str(tmp_path / "out")) == 2
+        assert _one_line(capsys, "config")
+        assert [p.name for p in tmp_path.iterdir()] == ["folder"]
+
+    def test_undecodable_points_and_truth_are_data_errors(self, small_dataset, tmp_path, capsys):
+        points, labels, _, _ = small_dataset
+        bad_points, bad_truth = tmp_path / "bad.csv", tmp_path / "bad.txt"
+        bad_points.write_bytes(points.read_bytes() + b"1.0,\xff\n")
+        bad_truth.write_bytes(labels.read_bytes()[:-2] + b"\xff\n")
+        out = tmp_path / "labels.txt"
+        for flags in (["--data", str(bad_points)],
+                      ["--data", str(points), "--truth", str(bad_truth)]):
+            assert run_cli("lund", *flags, "--t", "100", "--out", str(out)) == 3, flags
+            assert _one_line(capsys, "data")
+            assert not out.exists()
+
+
+class TestCacheThatIsAFile:
+    def test_every_graph_command_fails_before_the_graph(self, tmp_path, capsys):
+        # the duplicate cloud would be a data error (exit 3) once built
+        points, labels = _duplicate_cloud(tmp_path)
+        cache = tmp_path / "cache"
+        cache.write_text("keep\n")
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"dataset = {points}\ntruth = {labels}\nt = 100\ncache = {cache}\n")
+        out = str(tmp_path / "out")
+        data = ["--data", str(points), "--truth", str(labels), "--cache", str(cache)]
+        calls = [
+            ["lund", *data, "--t", "100", "--out", out],
+            ["land", *data, "--t", "100", "--budget", "3", "--out", out],
+            ["scan-t", *data, "--t-grid", "0:1:1", "--out", out],
+            ["purity", *data, "--t", "100", "--levels", "3", "--out", out],
+            ["build-graph", "--data", str(points), "--cache", str(cache)],
+            ["bench", "--config", str(cfg), "--out", out],
+        ]
+        for argv in calls:
+            assert run_cli(*argv) == 2, argv
+            assert _one_line(capsys, "config")
+            assert cache.read_text() == "keep\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "bench.cfg", "cache", "dups.csv", "truth.txt"]
+
+
+class TestInteractiveOracleFailures:
+    @pytest.mark.parametrize("reply", ["", "abc\n", "0\n"])
+    def test_closed_or_bad_reply_is_a_data_error(
+        self, small_dataset, tmp_path, capsys, monkeypatch, reply
+    ):
+        points, _, _, _ = small_dataset
+        monkeypatch.setattr(sys, "stdin", io.StringIO(reply))
+        out = tmp_path / "labels.txt"
+        assert run_cli(
+            "land", "--data", str(points), "--interactive", "--budget", "2",
+            "--t", "100", "--out", str(out),
+        ) == 3
+        # the oracle writes the queried point's coordinates to stderr first
+        *info, last = capsys.readouterr().err.strip().splitlines()
+        assert last.startswith("data error:")
+        assert all(line.startswith("point ") for line in info)
+        assert not out.exists()
+
+
+def test_auto_t_is_the_median_of_the_scan_rows_that_match(tmp_path):
+    """`--t auto` and `scan-t` share one scan: the chosen t is the median
+    (upper middle) of the scan-t rows on the auto grid whose k_hat is the
+    class count."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset = gaussians\ndata_seed = 11\nsizes = 50,50,50\nstddev = 0.5\n"
+                   "means = 0,0;6,0;3,5\nbudgets = 3\nmethods = land\n")
+    scan, out = tmp_path / "scan.csv", tmp_path / "out"
+    assert run_cli("scan-t", "--config", str(cfg), "--t-grid", "0:6:0.5",
+                   "--out", str(scan)) == 0
+    assert run_cli("bench", "--config", str(cfg), "--t", "auto", "--out", str(out)) == 0
+    rows = [line.split(",") for line in scan.read_text().splitlines()[1:]]
+    assert len(rows) == 13 and any(row[1] == "" for row in rows)  # some t are skipped
+    matches = [float(row[0]) for row in rows if row[1] == "3"]
+    assert len(matches) >= 3
+    t = json.loads((out / "manifest.json").read_text())["resolved"]["t"]
+    assert float(np.log10(t)) == matches[len(matches) // 2]
