@@ -171,15 +171,19 @@ def resolve_dataset(cfg: dict, args=None) -> tuple[PointCloud, np.ndarray | None
 
 
 def build_model_from_config(cfg: dict, cloud: PointCloud) -> DiffusionModel:
-    if cfg.get("cache") is not None:
-        _check_output_dir(cfg["cache"])
+    cache = cfg.get("cache")
+    if cache is not None:
+        try:
+            os.makedirs(cache, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create cache directory {cache}: {exc.strerror}") from None
     return build_model(
         cloud,
         k=cfg.get("k"),
         sigma=cfg.get("sigma"),
         sigma0=cfg.get("sigma0"),
         num_eigs=cfg.get("num_eigs"),
-        cache_dir=cfg.get("cache"),
+        cache_dir=cache,
     )
 
 

@@ -21,6 +21,10 @@ class DataError(Exception):
     """Malformed input data or files."""
 
 
+class _DataValueError(DataError, ValueError):
+    """A data fault that the API raises as a ValueError: exit 3 in the CLI."""
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """n points in D ambient dimensions, immutable after construction."""
@@ -226,15 +230,19 @@ def load_hsi_cube(path, header: HsiCubeHeader, standardize: bool = False) -> Poi
     standardize=True each band is shifted/scaled to zero mean, unit variance
     (constant bands are left centered only).
     """
-    if not os.path.exists(path):
-        raise DataError(f"no such file: {path}")
-    actual = os.path.getsize(path)
-    if actual != header.n_bytes:
-        raise DataError(
-            f"{path}: file is {actual} bytes but header implies "
-            f"{header.n_bytes} (rows*cols*bands*itemsize)"
-        )
-    raw = np.fromfile(path, dtype=header.np_dtype)
+    try:
+        with open(path, "rb") as fh:
+            actual = os.fstat(fh.fileno()).st_size
+            if actual != header.n_bytes:
+                raise DataError(
+                    f"{path}: file is {actual} bytes but header implies "
+                    f"{header.n_bytes} (rows*cols*bands*itemsize)"
+                )
+            raw = np.fromfile(fh, dtype=header.np_dtype)
+    except FileNotFoundError:
+        raise DataError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
     cube = raw.reshape(header.bands, header.rows, header.cols)
     pts = np.moveaxis(cube, 0, -1).reshape(header.n_pixels, header.bands)
     pts = pts.astype(np.float64)

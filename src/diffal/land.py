@@ -1,8 +1,8 @@
 """Active labeling by nonlinear diffusion (LAND).
 
 LAND spends a query budget on the top-B mode-score points, asks a labeling
-oracle for their classes, and propagates the answers in decreasing density
-order.  Which points get queried depends only on the scores, never on the
+oracle for their classes, and propagates the answers down the nearest-denser
+forest.  Which points get queried depends only on the scores, never on the
 oracle's answers.
 """
 
@@ -13,17 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import DataError, validate_labels
+from .dataset import _DataValueError, validate_labels
 from .geometry import DensityEstimate, DiffusionEmbedding, ModeScores
 from .lund import propagate_labels
 
 
 class BudgetExceededError(Exception):
     """A query was attempted beyond the oracle's budget."""
-
-
-class _ReplyError(DataError, ValueError):
-    """A reply that is not a class id: a ValueError to the API, exit 3 in the CLI."""
 
 
 class _MemoOracle:
@@ -102,9 +98,9 @@ class InteractiveOracle(_MemoOracle):
         try:
             label = int(line.strip())
         except ValueError:
-            raise _ReplyError(f"oracle reply {line.strip()!r} is not an integer") from None
+            raise _DataValueError(f"oracle reply {line.strip()!r} is not an integer") from None
         if label < 1:
-            raise _ReplyError(f"oracle reply must be a class id >= 1, got {label}")
+            raise _DataValueError(f"oracle reply must be a class id >= 1, got {label}")
         return label
 
 

@@ -1,10 +1,10 @@
 """Unsupervised labeling by nonlinear diffusion (LUND) and its diagnostics.
 
-LUND seeds labels at the top mode-score points and propagates them in
-decreasing density order: every point takes the label of its diffusion-
-nearest strictly-denser point, which is already labeled by the time the
-point is visited.  The number of clusters is estimated from the largest
-ratio between consecutive sorted mode scores.
+LUND seeds labels at the top mode-score points and propagates them down the
+nearest-denser forest: every point takes the label of the first seeded point
+on its chain of diffusion-nearest strictly-denser points, and a map that is
+not a forest is a ValueError.  The number of clusters is estimated from the
+largest ratio between consecutive sorted mode scores.
 """
 
 from __future__ import annotations
@@ -17,13 +17,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dataset import validate_labels
-from .geometry import (
-    DensityEstimate,
-    DiffusionEmbedding,
-    ModeScores,
-    density_descending_order,
-    nearest_denser_points,
-)
+from .geometry import (DensityEstimate, DiffusionEmbedding, ModeScores, density_descending_order,
+                       nearest_denser_points)
 from .graph import NumericalError
 
 
@@ -62,16 +57,16 @@ def propagate_labels(
     emb: DiffusionEmbedding,
     nearest_higher: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Complete a partial labeling in decreasing density order.
+    """Complete a partial labeling along the nearest-denser forest.
 
-    Each unlabeled point takes the label of its diffusion-nearest
-    strictly-denser point (denser points are always visited, hence labeled,
-    first).  If the global density maximizer itself is unseeded it has no
-    denser point; it falls back to the nearest seeded point regardless of
-    density, with a warning.
+    Each unlabeled point takes the label of the first seeded point on its
+    chain of diffusion-nearest strictly-denser points (the labels of a
+    decreasing-density sweep).  An unseeded global density maximizer, the
+    root, takes the nearest seed's label by (distance, index), with a warning.
 
-    Pass nearest_higher (e.g. from ModeScores) to skip recomputing the
-    nearest-denser-point search.
+    nearest_higher (e.g. from ModeScores) skips the nearest-denser search.
+    It must be a forest: a wrong length, an index outside 0..n-1 or a cycle
+    that no seed breaks is a ValueError.
     """
     labels = validate_labels(seeds, n=dens.n)
     if not np.any(labels > 0):
@@ -82,24 +77,30 @@ def propagate_labels(
         return labels
     if nearest_higher is None:
         _, nearest_higher = nearest_denser_points(emb, dens)
+    n = dens.n
+    up = np.asarray(nearest_higher)
+    if up.shape != (n,) or np.any((up < 0) | (up >= n)):
+        raise ValueError(f"nearest_higher must hold {n} indices in 0..{n - 1}")
 
-    order = density_descending_order(dens.p)
-    for i in order:
-        if labels[i] != 0:
-            continue
-        j = nearest_higher[i]
-        if j != i:
-            labels[i] = labels[j]
-        else:
-            # global maximizer unseeded: nearest seed wins, any density
-            warnings.warn(
-                "global density maximizer is unseeded; assigning it the "
-                "label of the nearest seeded point",
-                stacklevel=2,
-            )
-            seeded = np.flatnonzero(labels > 0)
-            d = cdist(emb.coords[i : i + 1], emb.coords[seeded])[0]
-            labels[i] = labels[seeded[np.lexsort((seeded, d))[0]]]
+    roots = np.flatnonzero((labels == 0) & (up == np.arange(n)))
+    if roots.size:
+        warnings.warn("global density maximizer is unseeded; assigning it the "
+                      "label of the nearest seeded point", stacklevel=2)
+        # argmin keeps the first of equal distances: the smaller seed index
+        seeded = np.flatnonzero(labels > 0)
+        d = cdist(emb.coords[roots], emb.coords[seeded])
+        labels[roots] = labels[seeded[np.argmin(d, axis=1)]]
+    # pointer jumping: after r rounds up[i] lies 2**r links along i's chain,
+    # or at its first seeded point; a forest's chains are shorter than n links
+    up = np.where(labels > 0, np.arange(n), up)
+    for _ in range(n.bit_length()):
+        jumped = up[up]
+        if np.array_equal(jumped, up):
+            break
+        up = jumped
+    labels = labels[up]
+    if np.any(labels == 0):
+        raise ValueError("nearest_higher has a cycle that no seed breaks")
     return labels
 
 
@@ -131,8 +132,7 @@ def lund_k(
 ) -> ClusteringResult:
     """Label the data with a known number of clusters.
 
-    Seeds labels 1..K on the top-K mode-score points, then propagates in
-    decreasing density order.
+    Seeds labels 1..K on the top-K mode-score points, then propagates them.
     """
     n = scores.n
     if not 1 <= num_clusters <= n:

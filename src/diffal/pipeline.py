@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import DiffusionCache, params_key, points_hash
-from .dataset import DataError, PointCloud
+from .dataset import DataError, PointCloud, _DataValueError
 from .geometry import (
     DensityEstimate,
     DiffusionEmbedding,
@@ -73,12 +73,13 @@ def build_model(
     neighbor distance; the density estimate reuses the graph's k neighbors
     and, unless sigma0 is given, its sigma; num_eigs = 25 with eigenpairs
     below 1e-8 in modulus dropped.  The eigensolver works to machine
-    precision.  A default sigma of 0 (every k-th neighbor distance is 0)
-    is a DataError; an explicit sigma <= 0 is a ValueError.
+    precision.  Fewer than two points, or a default sigma of 0 (every k-th
+    neighbor distance is 0), is a DataError, the first also a ValueError; an
+    explicit sigma <= 0 is a ValueError.
     """
     n = cloud.n
     if n < 2:
-        raise ValueError("diffusion model needs at least two points")
+        raise _DataValueError("diffusion model needs at least two points")
     if k is None:
         k = default_num_neighbors(n)
     if num_eigs is None:

@@ -359,6 +359,17 @@ class TestConfigAndExitCodes:
             assert capsys.readouterr().err.startswith("config error:")
             assert not out.exists()
 
+    def test_one_point_is_a_data_error(self, tmp_path, capsys):
+        one = tmp_path / "one.csv"
+        one.write_text("1.0,2.0\n")
+        out = tmp_path / "labels.txt"
+        assert run_cli("lund", "--data", str(one), "--t", "10", "--out", str(out)) == 3
+        err = capsys.readouterr().err.strip()
+        assert err == "data error: diffusion model needs at least two points"
+        assert not out.exists()
+        with pytest.raises(ValueError, match="at least two points"):
+            da.build_model(da.load_csv(one))
+
 
 def _auto_time(cloud, truth):
     """The auto-t rule through the library: the median (upper middle) of the
@@ -546,6 +557,20 @@ class TestUnreadableInputs:
             assert _one_line(capsys, "data")
             assert not out.exists()
 
+    def test_directory_as_a_raw_cube_is_a_data_error(self, tmp_path, capsys):
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        header = tmp_path / "cube.hdr"
+        out = tmp_path / "labels.txt"
+        # the first header implies as many bytes as the directory's size
+        for cols in (folder.stat().st_size or 4096, 3):
+            header.write_text(f"rows 1\ncols {cols}\nbands 1\ndtype uint8\n")
+            assert run_cli("lund", "--data", str(folder), "--hsi-header", str(header),
+                           "--t", "100", "--out", str(out)) == 3, cols
+            err = capsys.readouterr().err.strip()
+            assert err.startswith(f"data error: cannot read {folder}:") and "\n" not in err
+            assert not out.exists()
+
 
 class TestCacheThatIsAFile:
     def test_every_graph_command_fails_before_the_graph(self, tmp_path, capsys):
@@ -571,6 +596,18 @@ class TestCacheThatIsAFile:
             assert cache.read_text() == "keep\n"
             assert sorted(p.name for p in tmp_path.iterdir()) == [
                 "bench.cfg", "cache", "dups.csv", "truth.txt"]
+
+    def test_cache_under_a_file_fails_before_the_graph(self, tmp_path, capsys):
+        # the duplicate cloud would be a data error (exit 3) once built
+        points, _ = _duplicate_cloud(tmp_path)
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        out = tmp_path / "o.txt"
+        assert run_cli("lund", "--data", str(points), "--t", "10",
+                       "--cache", str(afile / "sub"), "--out", str(out)) == 2
+        assert _one_line(capsys, "config")
+        assert afile.read_text() == "keep\n"
+        assert not out.exists()
 
 
 class TestInteractiveOracleFailures:

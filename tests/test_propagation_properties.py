@@ -1,7 +1,9 @@
 """Property test: label propagation equals a plain density-order sweep bit
-for bit on tie-heavy integer grids with tied densities."""
+for bit on tie-heavy integer grids with tied densities and on one deep
+chain; a nearest-denser map that is not a forest is a ValueError."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,3 +64,43 @@ def test_propagate_labels_equals_density_order_sweep(case):
     for labels in (got, got_given):
         assert labels.dtype == expected.dtype
         assert np.array_equal(labels, expected)
+
+
+def _line(n):
+    """n points on a line with density strictly decreasing along it, so the
+    nearest-denser forest is one chain of n - 1 links from point 0."""
+    points = np.arange(n, dtype=float)[:, None]
+    emb = da.DiffusionEmbedding(coords=points, t=1.0)
+    dens = da.DensityEstimate(p=np.arange(n, 0, -1, dtype=float), k_density=1, sigma0=1.0)
+    return points, emb, dens
+
+
+def test_deep_chain_equals_density_order_sweep():
+    # 999 links take ceil(log2 999) = 10 rounds of pointer jumping, the most
+    # any chain of 1 000 points needs: one round fewer leaves the tail unlabeled
+    n = 1000
+    points, emb, dens = _line(n)
+    _, nearest = nearest_denser_points(emb, dens)
+    assert nearest.tolist() == [0, *range(n - 1)]
+    top = np.zeros(n, dtype=np.int64)
+    top[0] = 1
+    along = top.copy()
+    along[[100, 517, 900, 998]] = [2, 3, 1, 2]
+    for seeds in (top, along):
+        expected = sweep(seeds, points, dens.p)
+        got = da.propagate_labels(seeds, dens, emb, nearest_higher=nearest)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("nearest", [
+    [0, 2, 1, 0],  # 1 and 2 point at each other and neither is seeded
+    [0, 4, 0, 0],
+    [0, -1, 0, 0],
+    [0, 0, 0],
+])
+def test_nearest_higher_that_is_not_a_forest_is_rejected(nearest):
+    _, emb, dens = _line(4)
+    seeds = np.array([1, 0, 0, 0])
+    with pytest.raises(ValueError):
+        da.propagate_labels(seeds, dens, emb, nearest_higher=np.array(nearest))
