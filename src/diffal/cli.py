@@ -36,7 +36,7 @@ from .dataset import (
     save_csv,
     save_labels,
 )
-from .geometry import save_mode_scores_csv
+from .geometry import ModeScores, save_mode_scores_csv
 from .graph import NumericalError
 from .land import BudgetExceededError, GroundTruthOracle, InteractiveOracle, land
 from .lund import estimate_num_clusters, lund, lund_k, separation_diagnostics
@@ -170,20 +170,26 @@ def resolve_dataset(cfg: dict, args=None) -> tuple[PointCloud, np.ndarray | None
     return cloud, truth, os.path.basename(str(path))
 
 
-def build_model_from_config(cfg: dict, cloud: PointCloud) -> DiffusionModel:
-    cache = cfg.get("cache")
-    if cache is not None:
+def _make_dirs(*paths) -> None:
+    """Create each output directory (None: not asked for) with its parents;
+    a path that cannot be made a directory is a config error.  Commands
+    call it before any work, so a bad path costs no trial or graph."""
+    for path in filter(None, paths):
         try:
-            os.makedirs(cache, exist_ok=True)
+            os.makedirs(path, exist_ok=True)
         except OSError as exc:
-            raise ConfigError(f"cannot create cache directory {cache}: {exc.strerror}") from None
+            raise ConfigError(f"cannot create directory {path}: {exc.strerror}") from None
+
+
+def build_model_from_config(cfg: dict, cloud: PointCloud) -> DiffusionModel:
+    _make_dirs(cfg.get("cache"))
     return build_model(
         cloud,
         k=cfg.get("k"),
         sigma=cfg.get("sigma"),
         sigma0=cfg.get("sigma0"),
         num_eigs=cfg.get("num_eigs"),
-        cache_dir=cache,
+        cache_dir=cfg.get("cache"),
     )
 
 
@@ -203,37 +209,43 @@ def _scan(model: DiffusionModel, grid):
         yield t, step
 
 
-def choose_time(build, cfg: dict, truth: np.ndarray | None) -> float:
+def choose_time(build, cfg: dict, truth: np.ndarray | None) -> tuple[float, ModeScores | None]:
     """Resolve the diffusion time: explicit value, or the K-matching scan.
 
     "auto" scans a log10 grid and picks the median time whose estimated
     cluster count equals the number of classes in truth (only that count
     is read from the labels).  build() returns the model; it is called
     only for the scan, after the flags are checked, so a bad --t fails
-    before any graph work.
+    before any graph work.  Returns (t, the scan's mode scores at t), with
+    None for the scores when no scan time matched or none ran.
     """
     raw = cfg.get("t", "auto")
     if str(raw).lower() != "auto":
         try:
-            return float(raw)
+            return float(raw), None
         except ValueError:
             raise ConfigError(f"bad diffusion time {raw!r}") from None
     if truth is None:
         raise ConfigError("--t auto needs --truth to count classes")
     num_classes = _num_classes(truth)
     grid = log_t_grid(*AUTO_T_GRID)
-    matches = [t for t, step in _scan(build(), grid)
+    matches = [(t, step[1]) for t, step in _scan(build(), grid)
                if not isinstance(step, NumericalError) and step[2] == num_classes]
     if matches:
-        return float(matches[len(matches) // 2])
-    return float(grid[len(grid) // 2])
+        t, scores = matches[len(matches) // 2]
+        return float(t), scores
+    return float(grid[len(grid) // 2]), None
 
 
 def _prepare_scores(cfg: dict, cloud: PointCloud, truth: np.ndarray | None):
-    """Resolve t, build the model, and score every point at t."""
+    """Resolve t, build the model, and score every point at t; the auto
+    scan's scores at t are reused, with the embedding rebuilt from t."""
     model = functools.cache(lambda: build_model_from_config(cfg, cloud))
-    t = choose_time(model, cfg, truth)
-    emb, scores = model().scores_at(t)
+    t, scores = choose_time(model, cfg, truth)
+    if scores is None:
+        emb, scores = model().scores_at(t)
+    else:
+        emb = model().embedding(t)
     return model(), t, emb, scores
 
 
@@ -242,19 +254,12 @@ def _trial_seed(root_seed: int, method: str, trial: int) -> int:
     return int(ss.generate_state(1)[0])
 
 
-def _check_output_dir(path) -> None:
-    """An output directory path that names an existing file is a config error."""
-    if os.path.exists(path) and not os.path.isdir(path):
-        raise ConfigError(f"output directory {path} is an existing file")
-
-
 def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
     """Run the configured methods over the budget grid; emit CSV + manifest.
 
     Returns (results_csv_path, manifest_path).  Rows are sorted before
     writing and contain no timestamps, so reruns are byte-identical.
     """
-    _check_output_dir(out_dir)
     methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
@@ -263,6 +268,7 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
     trials = int(cfg["trials"])
     if trials < 1:
         raise ConfigError("trials must be at least 1")
+    _make_dirs(cfg.get("cache"), out_dir)
 
     cloud, truth, dataset_name = resolve_dataset(cfg)
     if truth is None:
@@ -311,7 +317,6 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
                     add_row(method, budget, trial, result.labels)
 
     rows.sort()
-    os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     with open(results_path, "w", encoding="utf-8") as fh:
         fh.write("dataset,method,budget_or_level,seed,oa,aa,kappa\n")
@@ -417,8 +422,7 @@ def cmd_gen_data(args) -> int:
     cfg = _cfg_from_args(args)
     if cfg["dataset"] not in GENERATORS:
         raise ConfigError(f"gen-data needs a generator dataset, got {cfg['dataset']!r}")
-    _check_output_dir(args.out)
-    os.makedirs(args.out, exist_ok=True)
+    _make_dirs(args.out)
     cloud, truth, _ = resolve_dataset(cfg)
     if cfg["dataset"] == "hierarchical":
         coarse = np.asarray(HIERARCHICAL_COARSE)[truth - 1]

@@ -14,7 +14,6 @@ nearest-higher-density pointers can never cycle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,7 +137,7 @@ def kde(
 
 def global_density_maximizer(p: np.ndarray) -> int:
     """Unique top of the density order: maximum p, ties to the smaller index."""
-    return int(density_descending_order(p)[0])
+    return int(np.argmax(p))
 
 
 def density_descending_order(p: np.ndarray) -> np.ndarray:
@@ -155,9 +154,10 @@ def nearest_denser_points(
     The global density maximizer gets (max distance to any point, itself).
     Every other point goes through the exact neighbor engine of graph with
     k = 1 and the strict density order as the acceptance test.  The search
-    starts from max(8, 2 ceil(log2 n) + 2) tree candidates per point and
-    widens fourfold per round, up to a full scan, for the points it cannot
-    yet prove complete.  Results match a quadratic scan exactly, tie rules
+    starts from 8 tree candidates per point and widens fourfold per round,
+    up to a full scan, for the points it cannot yet prove complete; most
+    points have a denser point among their 8 nearest and finish in the
+    first round.  Results match a quadratic scan exactly, tie rules
     included: at equal distance the smaller index wins.
     """
     coords = np.ascontiguousarray(emb.coords)
@@ -171,11 +171,8 @@ def nearest_denser_points(
         pc, pr = p[cand], p[rows, None]
         return (pc > pr) | ((pc == pr) & (cand < rows[:, None]))
 
-    rows = np.setdiff1d(np.arange(n), [imax])
-    idx, dist = _exact_search(
-        coords, _tree_proposer(coords), rows, 1,
-        max(8, 2 * math.ceil(math.log2(n)) + 2), denser,
-    )
+    rows = np.delete(np.arange(n), imax)
+    idx, dist = _exact_search(coords, _tree_proposer(coords), rows, 1, 8, denser)
     dist_out = np.empty(n, dtype=np.float64)
     idx_out = np.empty(n, dtype=np.int64)
     dist_out[rows] = dist[:, 0]

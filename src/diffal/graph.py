@@ -18,12 +18,13 @@ geometry, run on one engine, _exact_search.  A candidate generator proposes
 candidates and a lower bound on the distance of every other point; the
 engine recomputes every reported distance with plain numpy arithmetic, and
 widens the candidate set fourfold per round (up to a full scan) for the rows
-it cannot yet prove complete.  There are two generators: a kd-tree, and
-blocked GEMM over the squared-norm expansion, whose bound subtracts an error
-term derived from the point norms.  kNN takes GEMM above _TREE_MAX_DIM
-dimensions and the tree at or below; the nearest-denser search always takes
-the tree.  Results, including tie-breaking by smaller index at equal
-distance, are bitwise identical to a brute-force double loop.
+it cannot yet prove complete.  There are two generators: a kd-tree with
+sliding-midpoint splits (Maneewongvatana and Mount, 1999), and blocked GEMM
+over the squared-norm expansion, whose bound subtracts an error term derived
+from the point norms.  kNN takes GEMM above _TREE_MAX_DIM dimensions and the
+tree at or below; the nearest-denser search always takes the tree.  Results,
+including tie-breaking by smaller index at equal distance, are bitwise
+identical to a brute-force double loop.
 """
 
 from __future__ import annotations
@@ -169,9 +170,11 @@ def _tree_proposer(coords):
     """Candidates from a kd-tree: the m nearest by the tree's distances.
 
     The bound is the m-th of them less the boundary margin, which covers
-    the disagreement between the tree's arithmetic and numpy's.
+    the disagreement between the tree's arithmetic and numpy's.  The tree
+    splits each cell at the midpoint of its widest side, slid to the
+    nearest point when one side would be empty (balanced_tree=False).
     """
-    tree = cKDTree(coords)
+    tree = cKDTree(coords, balanced_tree=False)
 
     def propose(r, m):
         qd, cand = tree.query(coords[r], k=m)
@@ -298,20 +301,26 @@ _PLANAR_GROWTH = 4.0
 # Dimension at or below which knn_search takes its candidates from a kd-tree;
 # above it, from blocked GEMM.  The tree prunes well in few dimensions and
 # almost nothing in many, while the cost of GEMM grows slowly with dimension.
-# Seconds per search on Gaussian clouds, BLAS on one thread:
+# Seconds per k = 20 search on Gaussian clouds, best of 3, BLAS on one
+# thread; the kd-tree is _tree_proposer's, and a median-split tree (cKDTree's
+# default build) came within 10 % of it at every size:
 #
 #   n x dim        kd-tree   GEMM
-#   9 000 x 2       0.05     0.85
-#   5 000 x 5       0.10     0.24
-#   5 000 x 8       0.26     0.24
-#   20 000 x 8      2.49     3.52
-#   5 000 x 10      0.44     0.24
-#   20 000 x 10     5.39     3.42
-#   5 000 x 25      1.15     0.35
-#   5 000 x 200     5.26     0.61
+#   9 000 x 2       0.07     0.94
+#   5 000 x 5       0.09     0.25
+#   5 000 x 8       0.25     0.23
+#   20 000 x 8      1.81     3.78
+#   5 000 x 10      0.43     0.29
+#   20 000 x 10     5.11     3.91
+#   5 000 x 25      0.91     0.27
+#   5 000 x 200     4.74     0.56
 #
 # The nearest-denser search stays on the tree in every dimension: lambda^t
 # shrinks most columns of the diffusion embedding, so the tree prunes well.
+# There the sliding-midpoint split pays: the 13-time auto-t scan of 9 000
+# 2-D blobs took 1.33 s against 5.83 s with median splits and the old start
+# of max(8, 2 ceil(log2 n) + 2) candidates (geometric and bottleneck: 0.15
+# and 0.12 s against 0.32 and 0.30 s).
 _TREE_MAX_DIM = 8
 
 # evenly spaced rows sampled to measure the two-hop growth

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 import diffal as da
-from diffal.cli import main, parse_config, run_experiment, coerce_config, ConfigError
+from diffal import geometry
+from diffal.cli import (AUTO_T_GRID, ConfigError, coerce_config, main, parse_config,
+                        run_experiment)
 
 
 def run_cli(*args):
@@ -516,6 +518,29 @@ class TestOutputPaths:
         assert target.read_text() == "keep\n"
         assert [p.name for p in tmp_path.iterdir()] == ["afile"]
 
+    def test_bench_output_directory_under_a_file_fails_before_any_work(
+        self, tmp_path, capsys
+    ):
+        # the duplicate cloud would be a data error (exit 3) once built
+        points, labels = _duplicate_cloud(tmp_path)
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(f"dataset = {points}\ntruth = {labels}\nt = 100\n")
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        assert run_cli("bench", "--config", str(cfg), "--out", str(afile / "sub")) == 2
+        assert _one_line(capsys, "config")
+        assert afile.read_text() == "keep\n"
+
+    def test_gen_data_output_directory_under_a_file_is_a_config_error(
+        self, tmp_path, capsys
+    ):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        assert run_cli("gen-data", "--dataset", "geometric", "--seed", "3",
+                       "--sizes", "40,40,40", "--out", str(afile / "sub")) == 2
+        assert _one_line(capsys, "config")
+        assert afile.read_text() == "keep\n"
+
 
 def _one_line(capsys, kind):
     err = capsys.readouterr().err.strip()
@@ -646,3 +671,22 @@ def test_auto_t_is_the_median_of_the_scan_rows_that_match(tmp_path):
     assert len(matches) >= 3
     t = json.loads((out / "manifest.json").read_text())["resolved"]["t"]
     assert float(np.log10(t)) == matches[len(matches) // 2]
+
+
+def test_auto_t_searches_once_per_scan_time(tmp_path, monkeypatch):
+    """`bench --t auto` labels with the scan's own mode scores at the chosen
+    t, so it runs one nearest-denser search per scan time and none after."""
+    searches = []
+    real = geometry.nearest_denser_points
+
+    def spy(emb, dens):
+        searches.append(emb.t)
+        return real(emb, dens)
+
+    monkeypatch.setattr(geometry, "nearest_denser_points", spy)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("dataset = gaussians\ndata_seed = 11\nsizes = 50,50,50\nstddev = 0.5\n"
+                   "means = 0,0;6,0;3,5\nbudgets = 3\nmethods = land\n")
+    assert run_cli("bench", "--config", str(cfg), "--t", "auto",
+                   "--out", str(tmp_path / "out")) == 0
+    assert searches == [float(t) for t in da.log_t_grid(*AUTO_T_GRID)]

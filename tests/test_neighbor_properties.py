@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffal as da
-from diffal import graph
+from diffal import geometry, graph
 from diffal.geometry import nearest_denser_points
 from diffal.graph import _TREE_MAX_DIM
 
@@ -17,10 +17,10 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def grid_clouds(draw):
+def grid_clouds(draw, min_dim=1, max_dim=3):
     """Points on a small integer grid, plus extra copies of the first point
     (sometimes more than k of them, which no kd-tree round can resolve)."""
-    dim = draw(st.integers(1, 3))
+    dim = draw(st.integers(min_dim, max_dim))
     base = draw(st.lists(
         st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
         min_size=2, max_size=30,
@@ -41,19 +41,61 @@ def test_knn_search_equals_brute_force(cloud_and_k):
     assert np.array_equal(nb.distances, distances)
 
 
-@SETTINGS
-@given(grid_clouds(), st.data())
-def test_nearest_denser_points_equals_brute_force(cloud_and_k, data):
-    points, _ = cloud_and_k
-    n = points.shape[0]
-    levels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    p = np.array(levels, dtype=float)  # few levels, so many density ties
+def _assert_nearest_denser_is_brute_force(points, p):
     emb = da.DiffusionEmbedding(coords=points, t=1.0)
     dens = da.DensityEstimate(p=p, k_density=1, sigma0=1.0)
     rho, nearest = nearest_denser_points(emb, dens)
     exp_rho, exp_nearest = brute_force_nearest_denser(points, p)
     assert np.array_equal(rho, exp_rho)
     assert np.array_equal(nearest, exp_nearest)
+
+
+@SETTINGS
+@given(grid_clouds(), st.data())
+def test_nearest_denser_points_equals_brute_force(cloud_and_k, data):
+    points, _ = cloud_and_k
+    n = points.shape[0]
+    levels = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    _assert_nearest_denser_is_brute_force(points, np.array(levels, dtype=float))
+
+
+@SETTINGS
+@given(grid_clouds(min_dim=2, max_dim=40), st.data())
+def test_nearest_denser_points_in_many_columns_equals_brute_force(cloud_and_k, data):
+    # at most 42 points and few density levels: rows that 8 candidates
+    # cannot prove go on to 32 and then to a full scan
+    points, _ = cloud_and_k
+    n = points.shape[0]
+    levels = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    _assert_nearest_denser_is_brute_force(points, np.array(levels, dtype=float))
+
+
+def test_a_dense_local_maximum_widens_past_the_second_round(monkeypatch):
+    # point 0 is denser than the 40 points around it and sparser than the
+    # 159 of a far cluster: its first two rounds (8 and 32 candidates) hold
+    # no denser point, and its third (128) must pass the bound test
+    rng = np.random.default_rng(3)
+    angle = rng.uniform(0, 2 * np.pi, 40)
+    ring = rng.uniform(0.2, 1.0, size=(40, 1)) * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+    far = np.array([10.0, 0.0]) + rng.normal(size=(159, 2))
+    points = np.vstack([[[0.0, 0.0]], ring, far])
+    p = np.concatenate([[2.0], np.ones(40), 3.0 + rng.uniform(size=159)])
+    rounds = []
+    real = geometry._tree_proposer
+
+    def spy(coords):
+        propose = real(coords)
+
+        def counted(r, m):
+            rounds.append((m, r.tolist()))
+            return propose(r, m)
+
+        return counted
+
+    monkeypatch.setattr(geometry, "_tree_proposer", spy)
+    _assert_nearest_denser_is_brute_force(points, p)
+    assert [m for m, _ in rounds] == [8, 32, 128]
+    assert 0 in rounds[2][1]
 
 
 # --- the GEMM candidate generator, used above the kd-tree's dimension limit ---
