@@ -3,7 +3,10 @@
 The expensive, t-independent work (neighbor search, kernel, Markov chain,
 spectral decomposition, density estimate) is bundled in a DiffusionModel;
 per-t embeddings and mode scores are derived from it cheaply, so t sweeps
-reuse one decomposition.
+reuse one decomposition.  A time at which every non-Perron weight lambda^t
+underflows to 0 carries no geometry: it fails before the nearest-denser
+search, with the same zero-mode-score NumericalError the cluster count
+would raise.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .geometry import (
     DiffusionEmbedding,
     ModeScores,
     diffusion_embed,
+    eigenvalue_powers,
     kde,
     mode_scores,
     rho,
@@ -26,6 +30,7 @@ from .geometry import (
 from .graph import (
     EIGENSOLVER_VERSION,
     NeighborLists,
+    NumericalError,
     SpectralDecomposition,
     default_num_eigs,
     default_num_neighbors,
@@ -54,6 +59,21 @@ class DiffusionModel:
         return diffusion_embed(self.spectrum, t)
 
     def scores_at(self, t: float) -> tuple[DiffusionEmbedding, ModeScores]:
+        """Embedding and mode scores at diffusion time t.
+
+        When the spectrum holds more than one pair and every lambda_l^t with
+        l >= 2 underflows to exactly 0, the embedding is lambda_1^t psi_1,
+        constant up to rounding, so every mode score is 0: that raises
+        NumericalError ("zero mode score") before the search.  A 0 weight
+        means |lambda_2| is far below 1, so the graph is connected; the
+        lambda = 1 columns of a disconnected graph keep weight 1.
+        """
+        weights = eigenvalue_powers(self.spectrum.eigenvalues, t)
+        if weights.size > 1 and not np.any(weights[1:]):
+            raise NumericalError(
+                f"zero mode score at t={t:g}: every non-Perron eigenvalue power "
+                "lambda^t underflows to 0, so the diffusion embedding is constant"
+            )
         emb = self.embedding(t)
         rho_values, nearest = rho(emb, self.density)
         return emb, mode_scores(self.density, rho_values, nearest)

@@ -690,3 +690,101 @@ def test_auto_t_searches_once_per_scan_time(tmp_path, monkeypatch):
     assert run_cli("bench", "--config", str(cfg), "--t", "auto",
                    "--out", str(tmp_path / "out")) == 0
     assert searches == [float(t) for t in da.log_t_grid(*AUTO_T_GRID)]
+
+
+def _connected_cloud():
+    """Two touching Gaussians: one connected graph (|lambda_2| < 1)."""
+    return da.gen_gaussians([[0.0, 0.0], [3.0, 0.0]], 0.7, [60, 60], seed=3)
+
+
+def _non_perron_weights(model, t):
+    return geometry.eigenvalue_powers(model.spectrum.eigenvalues, t)[1:]
+
+
+@pytest.fixture()
+def connected_dataset(tmp_path):
+    cloud, truth = _connected_cloud()
+    # the precondition: every non-Perron lambda^t underflows at t = 1e6
+    assert not np.any(_non_perron_weights(da.build_model(cloud), 1e6))
+    points, labels = tmp_path / "points.csv", tmp_path / "truth.txt"
+    da.save_csv(points, cloud)
+    da.save_labels(labels, truth)
+    return points, labels
+
+
+class TestUnderflowedTime:
+    """At a t where every non-Perron lambda^t underflows, the embedding is
+    constant: an explicit --t fails with exit 4 and writes nothing."""
+
+    def _assert_fails(self, capsys, out, *args):
+        assert run_cli(*args, "--t", "1e6", "--out", str(out)) == 4
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure:") and "\n" not in err
+        assert "zero mode score" in err
+        assert not out.exists()
+
+    def test_lund_with_num_clusters(self, connected_dataset, tmp_path, capsys):
+        points, _ = connected_dataset
+        self._assert_fails(capsys, tmp_path / "labels.txt",
+                           "lund", "--data", str(points), "--num-clusters", "2")
+
+    def test_land(self, connected_dataset, tmp_path, capsys):
+        points, labels = connected_dataset
+        self._assert_fails(capsys, tmp_path / "labels.txt", "land", "--data", str(points),
+                           "--truth", str(labels), "--budget", "5")
+
+    def test_purity(self, connected_dataset, tmp_path, capsys):
+        points, labels = connected_dataset
+        self._assert_fails(capsys, tmp_path / "purity.csv", "purity", "--data", str(points),
+                           "--truth", str(labels), "--levels", "4")
+
+
+def _spy_searches(monkeypatch):
+    searches = []
+    real = geometry.nearest_denser_points
+
+    def spy(emb, dens):
+        searches.append(emb.t)
+        return real(emb, dens)
+
+    monkeypatch.setattr(geometry, "nearest_denser_points", spy)
+    return searches
+
+
+def test_underflowed_time_fails_before_the_search(monkeypatch):
+    model = da.build_model(_connected_cloud()[0])
+    assert not np.any(_non_perron_weights(model, 1e6))
+    searches = _spy_searches(monkeypatch)
+    with pytest.raises(da.NumericalError, match="zero mode score"):
+        model.scores_at(1e6)
+    assert searches == []
+
+
+def test_auto_t_searches_only_where_a_non_perron_weight_survives(
+        connected_dataset, tmp_path, monkeypatch):
+    points, labels = connected_dataset
+    model = da.build_model(_connected_cloud()[0])
+    live = []
+    for t in da.log_t_grid(*AUTO_T_GRID):
+        try:
+            if np.any(_non_perron_weights(model, t)):
+                live.append(float(t))
+        except da.NumericalError:  # a negative eigenvalue at non-integer t
+            pass
+    assert live  # and t = 1e6, the grid's last, underflows (the fixture)
+    searches = _spy_searches(monkeypatch)
+    assert run_cli("lund", "--data", str(points), "--truth", str(labels), "--t", "auto",
+                   "--out", str(tmp_path / "labels.txt")) == 0
+    assert searches == live
+
+
+def test_disconnected_cloud_scores_at_a_late_time():
+    """The lambda = 1 columns of two far-apart blobs keep weight 1, so a time
+    at which every other power underflows still has two modes."""
+    cloud, _ = da.gen_gaussians([[0.0, 0.0], [50.0, 0.0]], 0.5, [60, 60], seed=3)
+    with pytest.warns(UserWarning, match="disconnected"):
+        model = da.build_model(cloud)
+    assert model.spectrum.eigenvalues[1] >= 1.0 - 1e-10
+    _, scores = model.scores_at(1e6)
+    top = scores.score[scores.order[:2]]
+    assert np.all(top > 0) and top[1] > 1e-3 * top[0]
