@@ -1,17 +1,20 @@
 """Comparison methods: agglomerative linkage trees, random-query active
 labeling, and cluster-based active learning over a linkage tree (CBAL).
 
-The agglomerative implementation keeps one symmetric distance matrix
-(O(n^2) memory) and picks each merge by the smallest height, breaking ties
-by the smaller minimum original point index of the merged pair, then by
-the other cluster's minimum index.  That rule makes merge sequences
-reproducible across implementations.  Each row caches its first minimum,
-and a merge rescans only the rows whose minimum rose, so a run takes
-O(n^2) time on typical inputs (O(n^3) at worst).
+The agglomerative implementation keeps one n x n distance matrix (O(n^2)
+memory) and picks each merge by the smallest height, breaking ties by the
+smaller minimum original point index of the merged pair, then by the other
+cluster's minimum index.  That rule makes merge sequences reproducible
+across implementations.  Each row caches its first minimum, and a merge
+rescans only the rows whose minimum rose, so a run takes O(n^2) time on
+typical inputs (O(n^3) at worst).  Merged-away slots are masked rather than
+overwritten, and whenever the live clusters fall to half the matrix side the
+matrix shrinks in place, inside its own buffer, to the live slots in
+ascending order, so the tie rule reads the same on the smaller matrix.
 
 Dendrogram cuts number their clusters 1..L by each cluster's smallest
 member index.  cut_sequence keeps that smallest member per point while it
-replays the merges, so a cut is one np.unique over that vector.
+replays the merges, so a cut ranks those values in O(n).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from scipy.spatial.distance import cdist
 
 from .dataset import PointCloud
 from .geometry import DensityEstimate, DiffusionEmbedding
-from .land import ActiveResult, _query_and_propagate
+from .land import ActiveResult, _check_budget, _query_and_propagate
 
 LINKAGE_METHODS = ("single", "average")
 
@@ -51,12 +54,13 @@ class Dendrogram:
         return self.n_leaves + self.n_merges - 1
 
     @cached_property
-    def _members(self) -> dict[int, list[int]]:
-        """Sorted member points of every cluster id, built once per tree."""
-        members: dict[int, list[int]] = {i: [i] for i in range(self.n_leaves)}
-        for s in range(self.n_merges):
-            a, b = int(self.children_a[s]), int(self.children_b[s])
-            members[self.n_leaves + s] = sorted(members[a] + members[b])
+    def _members(self) -> list[np.ndarray]:
+        """Sorted int64 member points of every cluster id, as a list indexed
+        by id and built once per tree; a merge's array is its two children's
+        arrays sorted together."""
+        members = [np.array([i], dtype=np.int64) for i in range(self.n_leaves)]
+        for a, b in zip(self.children_a, self.children_b):
+            members.append(np.sort(np.concatenate((members[a], members[b]))))
         return members
 
 
@@ -68,21 +72,40 @@ def linkage(cloud: PointCloud, method: str) -> Dendrogram:
     if n < 2:
         raise ValueError("linkage needs at least two points")
 
-    # dmat[i, j] is the current distance between the clusters whose smallest
-    # original indices are i and j (+inf on the diagonal and for merged-away
-    # slots).  Row r caches nn[r], its first argmin, and best[r], the value
-    # there, so argmin(best) is the row-major (height, i, j) choice.
-    dmat = cdist(cloud.points, cloud.points)
+    # dmat[i, j] is the current distance between the live clusters at slots
+    # i and j (+inf on the diagonal); slots are kept in ascending order of
+    # their clusters' smallest original indices.  A dead slot's row and
+    # column keep stale values: pad is +inf there (0 elsewhere) and is added
+    # wherever a row is read.  Row r caches nn[r], its first argmin, and
+    # best[r], the value there, so argmin(best) is the row-major
+    # (height, i, j) choice.
+    flat = cdist(cloud.points, cloud.points).reshape(-1)
+    dmat = flat.reshape(n, n)
     np.fill_diagonal(dmat, np.inf)
     nn = np.argmin(dmat, axis=1)
     best = dmat[np.arange(n), nn]
     sizes = np.ones(n, dtype=np.int64)
     slot_id = np.arange(n, dtype=np.int64)
+    pad = np.zeros(n)
     ch_a = np.empty(n - 1, dtype=np.int64)
     ch_b = np.empty(n - 1, dtype=np.int64)
     heights = np.empty(n - 1, dtype=np.float64)
 
     for step in range(n - 1):
+        if 2 * (n - step) <= dmat.shape[0]:
+            # Half the slots are dead: move the live rows and columns, in
+            # ascending order, to the front of the same buffer.  Row k lands
+            # before the old row keep[k] >= k starts, so no unread row is hit.
+            live = pad == 0
+            keep = np.flatnonzero(live)
+            m = keep.size
+            for k, r in enumerate(keep):
+                flat[k * m:(k + 1) * m] = dmat[r, keep]
+            dmat = flat[:m * m].reshape(m, m)
+            nn = (np.cumsum(live) - 1)[nn[keep]]  # live rows point at live slots
+            best, sizes, slot_id = best[keep], sizes[keep], slot_id[keep]
+            pad = np.zeros(m)
+
         i = int(np.argmin(best))
         j = int(nn[i])  # j > i: a smaller j would have made row j the argmin
         a, b = slot_id[i], slot_id[j]
@@ -93,22 +116,24 @@ def linkage(cloud: PointCloud, method: str) -> Dendrogram:
             new = np.minimum(dmat[i], dmat[j])
         else:
             new = (sizes[i] * dmat[i] + sizes[j] * dmat[j]) / (sizes[i] + sizes[j])
-        new[[i, j]] = np.inf
+        pad[j] = np.inf
+        new += pad
+        new[i] = np.inf
         dmat[i] = dmat[:, i] = new
-        dmat[j] = dmat[:, j] = np.inf
         sizes[i] += sizes[j]
         slot_id[i] = n + step
         best[j] = np.inf
 
-        # Only columns i and j changed.  Rows that pointed at i or j now point
-        # at i unless their minimum rose; then they (row i among them) rescan.
+        # Only column i changed.  Rows that pointed at i or j now point at i
+        # unless their minimum rose; then they (row i among them) rescan.
         stale = (nn == i) | (nn == j)
         moved = (new < best) | ((new == best) & (stale | (nn > i)))
         nn[moved] = i
         best[moved] = new[moved]
         for r in np.flatnonzero(stale & (new > best)):
-            nn[r] = np.argmin(dmat[r])
-            best[r] = dmat[r, nn[r]]
+            row = dmat[r] + pad
+            nn[r] = np.argmin(row)
+            best[r] = row[nn[r]]
     return Dendrogram(children_a=ch_a, children_b=ch_b, heights=heights, n_leaves=n)
 
 
@@ -125,8 +150,9 @@ def cut_sequence(dend: Dendrogram, levels) -> list[np.ndarray]:
     """cut() for many levels in one pass over the merges (levels need not be sorted).
 
     Every point carries the smallest member index of its current cluster, so
-    a merge relabels the larger of the two smallest members to the other,
-    and ranking those values yields the labels numbered by smallest member.
+    a merge relabels the larger of the two smallest members to the other.
+    Marking the values present and taking their running count ranks them,
+    which yields the labels numbered by smallest member.
     """
     n = dend.n_leaves
     levels = list(levels)
@@ -144,7 +170,9 @@ def cut_sequence(dend: Dendrogram, levels) -> list[np.ndarray]:
             comp[comp == b] = a
             low[n + applied] = a
             applied += 1
-        out[ell] = np.unique(comp, return_inverse=True)[1].astype(np.int64) + 1
+        present = np.zeros(n, dtype=np.int64)
+        present[comp] = 1
+        out[ell] = np.cumsum(present)[comp]
     return [out[ell] for ell in levels]
 
 
@@ -166,19 +194,27 @@ def land_random(
     """Active labeling with uniformly random query points instead of the
     mode-score maximizers; everything after the queries is unchanged,
     including the partial query trail on a refused query."""
-    n = dens.n
-    if not 1 <= budget <= n:
-        raise ValueError(f"need 1 <= budget <= n, got budget={budget}, n={n}")
+    _check_budget(budget, dens.n)
     rng = np.random.default_rng(seed)
-    targets = rng.choice(n, size=budget, replace=False).astype(np.int64)
+    targets = rng.choice(dens.n, size=budget, replace=False).astype(np.int64)
     return _query_and_propagate(targets, dens, emb, oracle, nearest_higher)
 
 
-def _majority(labels: list[int]) -> tuple[int, float]:
+def _majority(labels: np.ndarray) -> tuple[int, float]:
     """(modal label, modal fraction); label ties go to the smaller id."""
-    values, counts = np.unique(np.asarray(labels, dtype=np.int64), return_counts=True)
+    values, counts = np.unique(labels, return_counts=True)
     best = int(np.lexsort((values, -counts))[0])
     return int(values[best]), float(counts[best]) / len(labels)
+
+
+def _check_cbal_args(budget: int, purity_threshold: float, sample_size: int) -> None:
+    """The argument rules of cbal; the budget may exceed the point count."""
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
+    if not 0.0 < purity_threshold <= 1.0:
+        raise ValueError(f"purity threshold must be in (0, 1], got {purity_threshold}")
+    if sample_size < 1:
+        raise ValueError(f"sample size must be at least 1, got {sample_size}")
 
 
 def cbal(
@@ -200,46 +236,49 @@ def cbal(
     nodes keep their labels and every remaining frontier node falls back to
     the majority of its own queries (or of all queries if it has none).
     """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    if not 0.0 < purity_threshold <= 1.0:
-        raise ValueError(f"purity threshold must be in (0, 1], got {purity_threshold}")
-    if sample_size < 1:
-        raise ValueError(f"sample size must be at least 1, got {sample_size}")
-
+    _check_cbal_args(budget, purity_threshold, sample_size)
     n = dend.n_leaves
     members = dend._members
     rng = np.random.default_rng(seed)
     labels = np.zeros(n, dtype=np.int64)
-    frontier: list[int] = [dend.root_id]
-    queried: dict[int, int] = {}  # point -> answer, in query order
+    asked = np.zeros(n, dtype=bool)
+    answer = np.zeros(n, dtype=np.int64)
+    order: list[int] = []  # queried points in query order
+    # Frontier node -> its unqueried member count.  Frontier nodes are
+    # disjoint and only the chosen node gets queries, so the others' counts
+    # stay exact.
+    frontier = {dend.root_id: n}
 
-    while frontier and len(queried) < budget:
+    while frontier and len(order) < budget:
         # most unqueried points first, node id breaks ties
-        node = max(frontier, key=lambda nd: (sum(1 for m in members[nd] if m not in queried), -nd))
-        unqueried = [m for m in members[node] if m not in queried]
-        if unqueried:
-            to_ask = min(sample_size, len(unqueried), budget - len(queried))
-            for k in rng.choice(len(unqueried), size=to_ask, replace=False):
-                point = unqueried[int(k)]
-                queried[point] = int(oracle.query(point))
+        node = max(frontier, key=lambda nd: (frontier[nd], -nd))
+        mem = members[node]
+        if frontier.pop(node):  # it has unqueried members
+            unqueried = mem[~asked[mem]]
+            to_ask = min(sample_size, unqueried.size, budget - len(order))
+            for k in rng.choice(unqueried.size, size=to_ask, replace=False):
+                point = int(unqueried[k])
+                answer[point] = int(oracle.query(point))
+                asked[point] = True
+                order.append(point)
         # the node now holds at least one queried point; frontier nodes are
         # disjoint, so a frozen node's labels are final when written
-        frontier.remove(node)
-        label, fraction = _majority([queried[m] for m in members[node] if m in queried])
+        label, fraction = _majority(answer[mem[asked[mem]]])
         if fraction >= purity_threshold or node < n:
-            labels[members[node]] = label
+            labels[mem] = label
         else:
-            frontier.extend((int(dend.children_a[node - n]), int(dend.children_b[node - n])))
+            for child in (int(dend.children_a[node - n]), int(dend.children_b[node - n])):
+                frontier[child] = members[child].size - np.count_nonzero(asked[members[child]])
 
-    global_label = _majority(list(queried.values()))[0]
+    queried = np.array(order, dtype=np.int64)
+    global_label = _majority(answer[queried])[0]
     for node in frontier:
-        node_answers = [queried[m] for m in members[node] if m in queried]
-        labels[members[node]] = _majority(node_answers)[0] if node_answers else global_label
+        node_answers = answer[members[node][asked[members[node]]]]
+        labels[members[node]] = _majority(node_answers)[0] if node_answers.size else global_label
 
     return ActiveResult(
         labels=labels,
-        queried_indices=np.array(list(queried), dtype=np.int64),
-        queries_used=len(queried),
-        queried_labels=np.array(list(queried.values()), dtype=np.int64),
+        queried_indices=queried,
+        queries_used=len(order),
+        queried_labels=answer[queried],
     )

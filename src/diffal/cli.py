@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .baselines import cbal, cut_sequence, land_random, linkage
+from .baselines import _check_cbal_args, cbal, cut_sequence, land_random, linkage
 from .datagen import (HIERARCHICAL_COARSE, gen_bottleneck, gen_gaussians, gen_geometric,
                       gen_hierarchical)
 from .dataset import (
@@ -38,7 +38,7 @@ from .dataset import (
 )
 from .geometry import ModeScores, save_mode_scores_csv
 from .graph import NumericalError
-from .land import BudgetExceededError, GroundTruthOracle, InteractiveOracle, land
+from .land import BudgetExceededError, GroundTruthOracle, InteractiveOracle, _check_budget, land
 from .lund import estimate_num_clusters, lund, lund_k, separation_diagnostics
 from .metrics import align_labels, average_accuracy, cohens_kappa, overall_accuracy, purity
 from .pipeline import DiffusionModel, build_model, log_t_grid
@@ -273,6 +273,13 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
     cloud, truth, dataset_name = resolve_dataset(cfg)
     if truth is None:
         raise ConfigError("file datasets need a `truth` labels path")
+    # each method's own argument checks, in run order, before any graph work
+    for method in methods:
+        for budget in budgets:
+            if method == "cbal":
+                _check_cbal_args(budget, cfg["cbal_theta"], cfg["cbal_sample_size"])
+            elif method != "lund":
+                _check_budget(budget, cloud.n)
     model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
 
     dend = None

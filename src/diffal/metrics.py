@@ -123,11 +123,20 @@ def align_labels(pred, truth) -> np.ndarray:
 def purity(clustering, truth) -> float:
     """Fraction of evaluable points whose label matches their cluster majority."""
     c, t = _evaluable(clustering, truth)
-    _, c_inv = np.unique(c, return_inverse=True)
-    _, t_inv = np.unique(t, return_inverse=True)
-    counts = np.zeros((c_inv.max() + 1, t_inv.max() + 1), dtype=np.int64)
-    np.add.at(counts, (c_inv, t_inv), 1)
-    return int(counts.max(axis=1).sum()) / c.shape[0]
+    # One sort by (cluster, class) turns every cell of the contingency table
+    # into a run.  lexsort orders by the two keys separately, so ids near the
+    # int64 limit cannot overflow a combined key.
+    order = np.lexsort((t, c))
+    c, t = c[order], t[order]
+    new_cluster = np.empty(c.size, dtype=bool)
+    new_cluster[0] = True
+    np.not_equal(c[1:], c[:-1], out=new_cluster[1:])
+    new_cell = new_cluster.copy()
+    new_cell[1:] |= t[1:] != t[:-1]
+    cell_starts = np.flatnonzero(new_cell)
+    cell_sizes = np.diff(np.append(cell_starts, c.size))
+    largest = np.maximum.reduceat(cell_sizes, np.flatnonzero(new_cluster[cell_starts]))
+    return int(largest.sum()) / c.shape[0]
 
 
 def purity_curve(family, truth) -> np.ndarray:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import diffal as da
-from diffal import geometry
+from diffal import cli, geometry
 from diffal.cli import (AUTO_T_GRID, ConfigError, coerce_config, main, parse_config,
                         run_experiment)
 
@@ -234,6 +234,38 @@ class TestBench:
         manifest = json.loads(Path(man).read_text())
         assert len(manifest["resolved"]["points_sha256"]) == 64
         assert manifest["resolved"]["t"] == 100.0
+
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"methods": "land", "budgets": "0,3"}, "need 1 <= budget <= n"),
+        ({"methods": "land-random", "budgets": "5000"}, "need 1 <= budget <= n"),
+        ({"methods": "lund,land", "budgets": "3,151"}, "got budget=151, n=150"),
+        ({"methods": "cbal", "budgets": "0"}, "budget must be at least 1"),
+        ({"methods": "cbal", "cbal_theta": "0"}, "purity threshold must be in (0, 1]"),
+        ({"methods": "land,cbal", "cbal_sample_size": "0"}, "sample size must be at least 1"),
+    ])
+    def test_bad_budget_or_cbal_setting_fails_before_any_graph_work(
+            self, tmp_path, capsys, monkeypatch, extra, message):
+        builds = []
+
+        def spy(*args, **kwargs):
+            builds.append(args)
+            return da.build_model(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_model", spy)
+        out = tmp_path / "o"
+        code = run_cli("bench", "--config", str(self._config(tmp_path, **extra)), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+        assert builds == []
+        assert not (out / "results.csv").exists()
+
+    def test_cbal_budget_may_exceed_the_point_count(self, tmp_path):
+        cfg = parse_config(self._config(tmp_path, methods="cbal", budgets="200", trials="1"))
+        res, _ = run_experiment(cfg, tmp_path / "out")
+        rows = [l.split(",") for l in Path(res).read_text().strip().splitlines()[1:]]
+        assert [(r[1], r[2]) for r in rows] == [("cbal", "200")]
 
 
 class TestConfigAndExitCodes:

@@ -8,6 +8,8 @@ performs the same Lance-Williams arithmetic, so average-linkage heights
 must agree to the last bit as well.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -106,3 +108,36 @@ def test_lattice_with_all_ties_equals_triangular_loop(method):
     points = np.argwhere(np.ones((12, 12))).astype(float)
     dend = da.linkage(da.PointCloud(points), method)
     assert_same_merges(dend, *triangular_linkage(points, method))
+
+
+def seeded_grid(n, seed=0):
+    """n points on a 4 x 4 integer grid: many duplicates and equal heights."""
+    return np.random.default_rng(seed).integers(0, 4, size=(n, 2)).astype(float)
+
+
+# linkage compacts its matrix whenever the live clusters fall to half its
+# side, so these merge lists cross 5 (n = 64, 120) and 6 (n = 200)
+# compactions.  Every merge rescans the merged row; in the average tree of
+# the 64-point grid, the merge right after the compaction to 16 slots (step
+# 48) also rescans another row whose minimum rose.
+@pytest.mark.parametrize("n", [64, 120, 200])
+@pytest.mark.parametrize("method", ["single", "average"])
+def test_compacting_grids_equal_triangular_loop(n, method):
+    points = seeded_grid(n)
+    dend = da.linkage(da.PointCloud(points), method)
+    assert_same_merges(dend, *triangular_linkage(points, method))
+
+
+@pytest.mark.parametrize("method", ["single", "average"])
+def test_linkage_peak_memory_is_one_matrix(method):
+    # the matrix shrinks inside its own buffer; a compacted copy beside it
+    # would add a quarter matrix at the first compaction
+    n = 600
+    cloud = da.PointCloud(np.random.default_rng(1).normal(size=(n, 3)))
+    tracemalloc.start()
+    try:
+        da.linkage(cloud, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * n * n
