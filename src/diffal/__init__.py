@@ -6,7 +6,8 @@ oracle within a budget, and propagate labels; plus linkage/CBAL baselines,
 evaluation metrics, synthetic generators, and an experiment CLI.
 """
 
-from .baselines import Dendrogram, cbal, cut, cut_sequence, land_random, linkage
+from .baselines import (Dendrogram, cbal, cut, cut_purity_curve, cut_sequence, land_random,
+                        linkage)
 from .cache import DiffusionCache, content_key
 from .datagen import gen_bottleneck, gen_gaussians, gen_geometric, gen_hierarchical
 from .dataset import (
@@ -63,11 +64,13 @@ from .lund import (
     estimate_num_clusters,
     lund,
     lund_k,
+    lund_purity_curve,
     propagate_labels,
     separation_diagnostics,
 )
 from .metrics import (
     ConfusionMatrix,
+    accuracy_scores,
     align_labels,
     average_accuracy,
     cohens_kappa,

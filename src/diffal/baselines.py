@@ -14,7 +14,8 @@ ascending order, so the tie rule reads the same on the smaller matrix.
 
 Dendrogram cuts number their clusters 1..L by each cluster's smallest
 member index.  cut_sequence keeps that smallest member per point while it
-replays the merges, so a cut ranks those values in O(n).
+replays the merges, so a cut ranks those values in O(n).  cut_purity_curve
+replays the merges with class counts instead and builds no cut.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from scipy.spatial.distance import cdist
 from .dataset import PointCloud
 from .geometry import DensityEstimate, DiffusionEmbedding
 from .land import ActiveResult, _check_budget, _query_and_propagate
+from .metrics import _ClassCounts, _labeled
 
 LINKAGE_METHODS = ("single", "average")
 
@@ -137,6 +139,14 @@ def linkage(cloud: PointCloud, method: str) -> Dendrogram:
     return Dendrogram(children_a=ch_a, children_b=ch_b, heights=heights, n_leaves=n)
 
 
+def _check_levels(levels, n: int) -> list:
+    levels = list(levels)
+    for ell in levels:
+        if not 1 <= ell <= n:
+            raise ValueError(f"need 1 <= level <= n, got {ell}")
+    return levels
+
+
 def cut(dend: Dendrogram, num_clusters: int) -> np.ndarray:
     """Partition into exactly num_clusters clusters by undoing the last merges.
 
@@ -155,10 +165,7 @@ def cut_sequence(dend: Dendrogram, levels) -> list[np.ndarray]:
     which yields the labels numbered by smallest member.
     """
     n = dend.n_leaves
-    levels = list(levels)
-    for ell in levels:
-        if not 1 <= ell <= n:
-            raise ValueError(f"need 1 <= level <= n, got {ell}")
+    levels = _check_levels(levels, n)
     low = np.empty(n + dend.n_merges, dtype=np.int64)  # smallest member per cluster id
     low[:n] = np.arange(n)
     comp = np.arange(n, dtype=np.int64)
@@ -173,6 +180,28 @@ def cut_sequence(dend: Dendrogram, levels) -> list[np.ndarray]:
         present = np.zeros(n, dtype=np.int64)
         present[comp] = 1
         out[ell] = np.cumsum(present)[comp]
+    return [out[ell] for ell in levels]
+
+
+def cut_purity_curve(dend: Dendrogram, levels, truth) -> list[float]:
+    """purity(cut(dend, ell), truth) for each level, from one replay of the merges.
+
+    Every cluster carries the class counts of its evaluable points from the
+    singletons up, so a level's purity is read off after its merges and no
+    cut is built.
+    """
+    n = dend.n_leaves
+    levels = _check_levels(levels, n)
+    truth, mask = _labeled(truth, n)
+    counts = _ClassCounts(np.arange(n), truth, mask)
+    ch_a, ch_b = dend.children_a.tolist(), dend.children_b.tolist()
+    out: dict[int, float] = {}
+    applied = 0
+    for ell in sorted(set(levels), reverse=True):  # fewest merges first
+        for step in range(applied, n - ell):
+            counts.merge(ch_a[step], ch_b[step], into=n + step)
+        applied = n - ell
+        out[ell] = counts.purity()
     return [out[ell] for ell in levels]
 
 

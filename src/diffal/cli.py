@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .baselines import _check_cbal_args, cbal, cut_sequence, land_random, linkage
+from .baselines import _check_cbal_args, cbal, cut_purity_curve, land_random, linkage
 from .datagen import (HIERARCHICAL_COARSE, gen_bottleneck, gen_gaussians, gen_geometric,
                       gen_hierarchical)
 from .dataset import (
@@ -39,8 +39,8 @@ from .dataset import (
 from .geometry import ModeScores, save_mode_scores_csv
 from .graph import NumericalError
 from .land import BudgetExceededError, GroundTruthOracle, InteractiveOracle, _check_budget, land
-from .lund import estimate_num_clusters, lund, lund_k, separation_diagnostics
-from .metrics import align_labels, average_accuracy, cohens_kappa, overall_accuracy, purity
+from .lund import estimate_num_clusters, lund, lund_k, lund_purity_curve, separation_diagnostics
+from .metrics import accuracy_scores, align_labels
 from .pipeline import DiffusionModel, build_model, log_t_grid
 
 
@@ -152,7 +152,9 @@ def resolve_dataset(cfg: dict, args=None) -> tuple[PointCloud, np.ndarray | None
     Points come from the --data flag when given (a CSV file, or a raw cube
     with --hsi-header), else from cfg["dataset"] (a generator name or a CSV
     path).  Generators bring their own truth; file inputs take it from
-    cfg["truth"], None when absent, checked against the point count.
+    cfg["truth"], None when absent, checked against the point count and
+    for a positive label, so a truth with nothing to score fails before
+    any graph work.
     """
     data = getattr(args, "data", None)
     if data is None and cfg["dataset"] in GENERATORS:
@@ -167,6 +169,8 @@ def resolve_dataset(cfg: dict, args=None) -> tuple[PointCloud, np.ndarray | None
     truth = load_labels(cfg["truth"]) if "truth" in cfg else None
     if truth is not None and truth.shape[0] != cloud.n:
         raise DataError(f"truth has {truth.shape[0]} labels for {cloud.n} points")
+    if truth is not None and not np.any(truth > 0):
+        raise DataError("truth has no evaluable points: every label is 0")
     return cloud, truth, os.path.basename(str(path))
 
 
@@ -289,17 +293,8 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
     rows: list[tuple] = []
 
     def add_row(method: str, budget_or_level, trial: int, pred: np.ndarray) -> None:
-        rows.append(
-            (
-                dataset_name,
-                method,
-                int(budget_or_level),
-                int(trial),
-                overall_accuracy(pred, truth),
-                average_accuracy(pred, truth),
-                cohens_kappa(pred, truth),
-            )
-        )
+        rows.append((dataset_name, method, int(budget_or_level), int(trial),
+                     *accuracy_scores(pred, truth)))
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -465,9 +460,8 @@ def cmd_build_graph(args) -> int:
 
 
 def _print_accuracy(pred: np.ndarray, truth: np.ndarray) -> None:
-    print(f"OA={overall_accuracy(pred, truth):.4f} "
-          f"AA={average_accuracy(pred, truth):.4f} "
-          f"kappa={cohens_kappa(pred, truth):.4f}")
+    oa, aa, kappa = accuracy_scores(pred, truth)
+    print(f"OA={oa:.4f} AA={aa:.4f} kappa={kappa:.4f}")
 
 
 def cmd_lund(args) -> int:
@@ -542,13 +536,13 @@ def cmd_purity(args) -> int:
         fh.write("level,purity,method\n")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            for ell in levels:
-                value = purity(lund_k(scores, model.density, emb, ell).labels, truth)
-                fh.write(f"{ell},{value!r},lund\n")
+            curve = lund_purity_curve(scores, model.density, emb, levels, truth)
+        for ell, value in zip(levels, curve):
+            fh.write(f"{ell},{value!r},lund\n")
         for method in ("single", "average"):
-            dend = linkage(cloud, method)
-            for ell, labels in zip(levels, cut_sequence(dend, levels)):
-                fh.write(f"{ell},{purity(labels, truth)!r},{method}\n")
+            curve = cut_purity_curve(linkage(cloud, method), levels, truth)
+            for ell, value in zip(levels, curve):
+                fh.write(f"{ell},{value!r},{method}\n")
     print(f"wrote {args.out}")
     return 0
 

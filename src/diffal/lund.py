@@ -20,6 +20,7 @@ from .dataset import validate_labels
 from .geometry import (DensityEstimate, DiffusionEmbedding, ModeScores, density_descending_order,
                        nearest_denser_points)
 from .graph import NumericalError
+from .metrics import _ClassCounts, _labeled, purity
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,7 @@ def propagate_labels(
     if nearest_higher is None:
         _, nearest_higher = nearest_denser_points(emb, dens)
     n = dens.n
-    up = np.asarray(nearest_higher)
-    if up.shape != (n,) or np.any((up < 0) | (up >= n)):
-        raise ValueError(f"nearest_higher must hold {n} indices in 0..{n - 1}")
+    up = _checked_forest(nearest_higher, n)
 
     roots = np.flatnonzero((labels == 0) & (up == np.arange(n)))
     if roots.size:
@@ -102,6 +101,13 @@ def propagate_labels(
     if np.any(labels == 0):
         raise ValueError("nearest_higher has a cycle that no seed breaks")
     return labels
+
+
+def _checked_forest(nearest_higher, n: int) -> np.ndarray:
+    up = np.asarray(nearest_higher)
+    if up.shape != (n,) or np.any((up < 0) | (up >= n)):
+        raise ValueError(f"nearest_higher must hold {n} indices in 0..{n - 1}")
+    return up
 
 
 def estimate_num_clusters(scores: ModeScores) -> int:
@@ -142,6 +148,66 @@ def lund_k(
     seeds[modes] = np.arange(1, num_clusters + 1)
     labels = propagate_labels(seeds, dens, emb, nearest_higher=scores.nearest_higher)
     return ClusteringResult(num_clusters=num_clusters, labels=labels, mode_indices=modes)
+
+
+def lund_purity_curve(
+    scores: ModeScores,
+    dens: DensityEstimate,
+    emb: DiffusionEmbedding,
+    levels,
+    truth,
+) -> list[float]:
+    """purity(lund_k(scores, dens, emb, ell).labels, truth) for each level.
+
+    While every root of the forest (a point that is its own nearest denser
+    point) is seeded, dropping seed order[K-1] moves its cluster whole into
+    the cluster that holds its nearest denser point.  So one lund_k labeling
+    at the largest such level, and a union-find over its seeds, give every
+    level down to the last root's rank in order.  Below that an unseeded
+    root takes its nearest seed's label, which need not nest; those levels
+    are labeled one by one.
+    """
+    n = scores.n
+    levels = list(levels)
+    for ell in levels:
+        if not 1 <= ell <= n:
+            raise ValueError(f"need 1 <= num_clusters <= n, got {ell}")
+    truth, mask = _labeled(truth, n)
+    up = _checked_forest(scores.nearest_higher, n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[scores.order] = np.arange(n)
+    roots = np.flatnonzero(up == np.arange(n))
+    first_nested = int(rank[roots].max()) + 1 if roots.size else 1
+
+    out: dict[int, float] = {}
+    nested = sorted({ell for ell in levels if ell >= first_nested}, reverse=True)
+    if nested:
+        top = nested[0]
+        labels = lund_k(scores, dens, emb, top).labels
+        counts = _ClassCounts(labels, truth, mask)
+        parent = list(range(top + 1))  # union-find over the seed labels 1..top
+
+        def find(label: int) -> int:
+            while parent[label] != label:
+                parent[label] = parent[parent[label]]
+                label = parent[label]
+            return label
+
+        # label, at level top, of the nearest denser point of seed order[j]
+        holder = labels[up[scores.order[:top]]].tolist()
+        k = top  # seeds left
+        for ell in nested:
+            while k > ell:  # drop seed order[k - 1], labeled k
+                target = find(holder[k - 1])
+                if target == k:
+                    raise ValueError("nearest_higher has a cycle that no seed breaks")
+                counts.merge(k, target, into=target)
+                parent[k] = target
+                k -= 1
+            out[ell] = counts.purity()
+    for ell in sorted(set(levels).difference(out)):
+        out[ell] = purity(lund_k(scores, dens, emb, ell).labels, truth)
+    return [out[ell] for ell in levels]
 
 
 def lund(
@@ -233,6 +299,7 @@ __all__ = [
     "estimate_num_clusters",
     "lund",
     "lund_k",
+    "lund_purity_curve",
     "separation_diagnostics",
     "save_diagnostics_csv",
 ]

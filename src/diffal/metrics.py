@@ -2,7 +2,14 @@
 label alignment for unsupervised outputs, and clustering purity.
 
 Ground-truth label 0 means "unlabeled"; such points are excluded from every
-metric (numerator and denominator alike).
+metric (numerator and denominator alike).  A truth with no positive label
+leaves nothing to score: a DataError that is also a ValueError.
+
+Average accuracy and kappa read one tally of integer class counts: per
+truth class its size and its correctly labeled points, and the chance
+agreement numerator sum_c size_c * (predictions of id c).  Sorting each
+vector and counting its runs makes the tally in O(n log n) time and O(n)
+memory, with no ids x ids matrix.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dataset import validate_labels
+from .dataset import _DataValueError, validate_labels
 
 
 @dataclass(frozen=True)
@@ -32,13 +39,61 @@ class ConfusionMatrix:
         return int(self.counts.sum())
 
 
-def _evaluable(pred, truth) -> tuple[np.ndarray, np.ndarray]:
-    pred = validate_labels(pred)
-    truth = validate_labels(truth, n=pred.shape[0])
+def _labeled(truth, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(validated truth, mask of its evaluable points); a truth with no
+    positive label is a DataError that is also a ValueError."""
+    truth = validate_labels(truth, n=n)
     mask = truth > 0
     if not np.any(mask):
-        raise ValueError("no evaluable points: every ground-truth label is 0")
+        raise _DataValueError("no evaluable points: every ground-truth label is 0")
+    return truth, mask
+
+
+def _evaluable(pred, truth) -> tuple[np.ndarray, np.ndarray]:
+    pred = validate_labels(pred)
+    truth, mask = _labeled(truth, n=pred.shape[0])
     return pred[mask], truth[mask]
+
+
+def _runs(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, ascending, and how often each occurs."""
+    values = np.sort(values)
+    edge = np.empty(values.size + 1, dtype=bool)  # edge[i]: a run starts or ends at i
+    edge[0] = edge[-1] = True
+    np.not_equal(values[1:], values[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    return values[bounds[:-1]], bounds[1:] - bounds[:-1]
+
+
+def _tally(p: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(sizes, hits, chance) of evaluable predictions p against truth t.
+
+    sizes and hits hold, per truth class in ascending order, its points and
+    its correctly labeled points; chance is sum_c sizes[c] * (predictions
+    of id c), the numerator of chance agreement.
+    """
+    classes, sizes = _runs(t)
+    hit_ids, hit_counts = _runs(t[p == t])
+    hits = np.zeros_like(sizes)
+    hits[np.searchsorted(classes, hit_ids)] = hit_counts
+    pred_ids, pred_counts = _runs(p)
+    at = np.minimum(np.searchsorted(classes, pred_ids), classes.size - 1)
+    shared = classes[at] == pred_ids
+    return sizes, hits, int(sizes[at[shared]] @ pred_counts[shared])
+
+
+def _average_accuracy(sizes: np.ndarray, hits: np.ndarray) -> float:
+    return float(np.mean(hits / sizes))
+
+
+def _kappa(n: int, correct: int, chance: int) -> float:
+    p_o = float(correct) / n
+    p_e = float(chance) / (n * n)
+    if p_e == 1.0:
+        if p_o == 1.0:
+            return 1.0
+        raise ValueError("kappa undefined: chance agreement is 1 but labelings differ")
+    return (p_o - p_e) / (1.0 - p_e)
 
 
 def confusion_matrix(pred, truth) -> ConfusionMatrix:
@@ -57,9 +112,8 @@ def overall_accuracy(pred, truth) -> float:
 
 def average_accuracy(pred, truth) -> float:
     """Unweighted mean of per-class recalls (small classes count equally)."""
-    p, t = _evaluable(pred, truth)
-    recalls = [float(np.mean(p[t == c] == c)) for c in np.unique(t)]
-    return float(np.mean(recalls))
+    sizes, hits, _ = _tally(*_evaluable(pred, truth))
+    return _average_accuracy(sizes, hits)
 
 
 def cohens_kappa(pred, truth) -> float:
@@ -69,17 +123,18 @@ def cohens_kappa(pred, truth) -> float:
     marginals.  The degenerate case p_e = 1 is defined as 1.0 when the
     labelings agree everywhere and is an error otherwise.
     """
-    cm = confusion_matrix(pred, truth)
-    n = cm.n_eval
-    p_o = float(np.trace(cm.counts)) / n
-    rows = cm.counts.sum(axis=1)
-    cols = cm.counts.sum(axis=0)
-    p_e = float(rows @ cols) / (n * n)
-    if p_e == 1.0:
-        if p_o == 1.0:
-            return 1.0
-        raise ValueError("kappa undefined: chance agreement is 1 but labelings differ")
-    return (p_o - p_e) / (1.0 - p_e)
+    p, t = _evaluable(pred, truth)
+    _, hits, chance = _tally(p, t)
+    return _kappa(t.shape[0], int(hits.sum()), chance)
+
+
+def accuracy_scores(pred, truth) -> tuple[float, float, float]:
+    """(overall accuracy, average accuracy, kappa) from one validation and
+    one tally; each equals its own function's value bit for bit."""
+    p, t = _evaluable(pred, truth)
+    sizes, hits, chance = _tally(p, t)
+    n, correct = t.shape[0], int(hits.sum())
+    return correct / n, _average_accuracy(sizes, hits), _kappa(n, correct, chance)
 
 
 def align_labels(pred, truth) -> np.ndarray:
@@ -137,6 +192,42 @@ def purity(clustering, truth) -> float:
     cell_sizes = np.diff(np.append(cell_starts, c.size))
     largest = np.maximum.reduceat(cell_sizes, np.flatnonzero(new_cluster[cell_starts]))
     return int(largest.sum()) / c.shape[0]
+
+
+class _ClassCounts:
+    """Per cluster, its evaluable points' counts per class, kept under merges.
+
+    top holds each cluster's largest count and total their sum, so
+    total / n_eval is the purity of the current clusters, divided exactly
+    as purity() divides.  A merge adds the smaller table into the larger,
+    so any merge sequence makes O(n log n) additions.
+    """
+
+    def __init__(self, clusters: np.ndarray, truth: np.ndarray, mask: np.ndarray):
+        self.tables: dict[int, dict[int, int]] = {}
+        for c, t in zip(clusters[mask].tolist(), truth[mask].tolist()):
+            table = self.tables.setdefault(c, {})
+            table[t] = table.get(t, 0) + 1
+        self.top = {c: max(table.values()) for c, table in self.tables.items()}
+        self.total = sum(self.top.values())
+        self.n_eval = int(np.count_nonzero(mask))
+
+    def merge(self, a: int, b: int, into: int) -> None:
+        """Replace clusters a and b by their union, with id into."""
+        small, big = sorted((self.tables.pop(a, {}), self.tables.pop(b, {})), key=len)
+        top_a, top_b = self.top.pop(a, 0), self.top.pop(b, 0)
+        top = max(top_a, top_b)
+        for t, count in small.items():
+            count += big.get(t, 0)
+            big[t] = count
+            if count > top:
+                top = count
+        self.tables[into] = big
+        self.top[into] = top
+        self.total += top - top_a - top_b
+
+    def purity(self) -> float:
+        return self.total / self.n_eval
 
 
 def purity_curve(family, truth) -> np.ndarray:

@@ -820,3 +820,67 @@ def test_disconnected_cloud_scores_at_a_late_time():
     _, scores = model.scores_at(1e6)
     top = scores.score[scores.order[:2]]
     assert np.all(top > 0) and top[1] > 1e-3 * top[0]
+
+
+def _spy_builds(monkeypatch):
+    builds = []
+
+    def spy(*args, **kwargs):
+        builds.append(args)
+        return da.build_model(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_model", spy)
+    return builds
+
+
+@pytest.mark.parametrize("command", [
+    ["purity"],
+    ["lund"],
+    ["land", "--budget", "5"],
+    ["bench", "--methods", "land", "--budgets", "3"],
+])
+def test_truth_without_a_positive_label_fails_before_any_graph_work(
+        small_dataset, tmp_path, capsys, monkeypatch, command):
+    points, _, cloud, _ = small_dataset
+    zeros = tmp_path / "zeros.txt"
+    da.save_labels(zeros, np.zeros(cloud.n, dtype=np.int64))
+    builds = _spy_builds(monkeypatch)
+    out = tmp_path / "o"
+    out.mkdir()
+    source = (["--dataset"] if command[0] == "bench" else ["--data"]) + [str(points)]
+    target = out if command[0] == "bench" else out / "out.txt"
+    code = run_cli(command[0], *source, "--truth", str(zeros), "--t", "100",
+                   *command[1:], "--out", str(target))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("data error:") and "no evaluable points" in err
+    assert builds == []
+    assert list(out.iterdir()) == []
+
+
+def test_purity_replays_every_level_above_the_roots_rank(small_dataset, tmp_path, monkeypatch):
+    # both blobs' density maximizer tops the mode-score order, so one lund_k
+    # labeling and one replay per tree give every level, with no cut built
+    # and no per-level purity
+    points, labels, _, _ = small_dataset
+    lund_module = sys.modules["diffal.lund"]
+    calls = {"lund_k": 0, "purity": 0, "cut_sequence": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    counted(lund_module, "lund_k")
+    counted(lund_module, "purity")
+    counted(sys.modules["diffal.baselines"], "cut_sequence")
+    out = tmp_path / "purity.csv"
+    assert run_cli("purity", "--data", str(points), "--truth", str(labels), "--t", "100",
+                   "--levels", "120", "--out", str(out)) == 0
+    assert calls == {"lund_k": 1, "purity": 0, "cut_sequence": 0}
+    rows = out.read_text().splitlines()
+    assert len(rows) == 1 + 3 * 120

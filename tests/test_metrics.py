@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,3 +192,33 @@ class TestMetricInvariances:
         assert da.cohens_kappa(pred2, truth2) == pytest.approx(
             da.cohens_kappa(pred, truth), abs=1e-12
         )
+
+
+class TestClassCounts:
+    def test_no_evaluable_points_is_a_data_error(self):
+        for metric in (da.overall_accuracy, da.average_accuracy, da.cohens_kappa,
+                       da.accuracy_scores, da.purity):
+            with pytest.raises(da.DataError, match="no evaluable points"):
+                metric([1, 2], [0, 0])
+
+    def test_accuracy_scores_hand_case(self):
+        # classes 1 (3 points, 2 hits) and 2 (1 point, 1 hit); the unlabeled
+        # point's prediction 7 counts nowhere
+        oa, aa, kappa = da.accuracy_scores([1, 1, 2, 2, 7], [1, 1, 1, 2, 0])
+        assert (oa, aa) == (0.75, (2 / 3 + 1.0) / 2)
+        p_e = (3 * 2 + 1 * 2) / 16
+        assert kappa == (0.75 - p_e) / (1 - p_e)
+
+    def test_kappa_memory_is_linear_in_distinct_ids(self):
+        # n distinct predicted ids: an ids x ids count matrix would take
+        # 8 n^2 bytes (72 MB here); the tally keeps about ten n-vectors
+        n = 3000
+        pred = np.random.default_rng(3).permutation(n) + 1
+        truth = np.arange(1, n + 1)
+        tracemalloc.start()
+        try:
+            da.cohens_kappa(pred, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * n
