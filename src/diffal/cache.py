@@ -4,10 +4,10 @@ Entries are keyed by a content hash of the points plus the parameters that
 produced them, stored as pickle-free .npz archives carrying a format
 version, so stale layouts are rejected instead of misread.  An entry that
 cannot be trusted counts as a miss and is overwritten by the recomputed
-result: one that cannot be read (truncated, corrupt), or whose arrays do
-not have the shapes the caller expects from n, k and num_eigs.  Spectrum
-keys carry the eigensolver version, so spectra cached by an older solver
-are recomputed.
+result: one that cannot be read (truncated, corrupt), that lacks an array,
+or whose arrays do not have the shapes the caller expects from n, k and
+num_eigs.  Spectrum keys carry the eigensolver version, so spectra cached
+by an older solver are recomputed.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import hashlib
 import os
 import tempfile
 import zipfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -53,8 +54,10 @@ class DiffusionCache:
     def _path(self, kind: str, key: str) -> str:
         return os.path.join(self.directory, f"{kind}_{key}.npz")
 
-    def _load(self, kind: str, key: str):
-        """The entry's arrays, or None when it is missing, stale or unreadable."""
+    def _load(self, kind: str, key: str, cls, shapes: dict):
+        """The entry as a cls built from the arrays named in shapes, or None
+        when it is missing, stale, unreadable, lacks one of those arrays or
+        holds one whose shape is not shapes[name] (None: any shape)."""
         path = self._path(kind, key)
         if not os.path.exists(path):
             return None
@@ -62,11 +65,16 @@ class DiffusionCache:
             with np.load(path, allow_pickle=False) as data:
                 if int(data["format_version"][0]) != FORMAT_VERSION:
                     return None
-                return {name: data[name] for name in data.files}
+                arrays = {name: data[name] for name in shapes}
         except (zipfile.BadZipFile, OSError, ValueError, KeyError):
             return None
+        if any(want is not None and arrays[name].shape != want
+               for name, want in shapes.items()):
+            return None
+        return cls(**arrays)
 
-    def _save(self, kind: str, key: str, **arrays) -> None:
+    def _save(self, kind: str, key: str, entry) -> None:
+        arrays = {field.name: getattr(entry, field.name) for field in fields(entry)}
         arrays["format_version"] = np.array([FORMAT_VERSION], dtype=np.int64)
         # a temp file of its own per writer, renamed into place atomically,
         # so concurrent writers of one entry never mix their bytes
@@ -81,37 +89,18 @@ class DiffusionCache:
 
     def load_neighbors(self, key: str, shape=None) -> NeighborLists | None:
         """The cached lists, or None; shape is the expected (n, k), if known."""
-        data = self._load("nb", key)
-        if data is None:
-            return None
-        indices, distances = data["indices"], data["distances"]
-        if shape is not None and not indices.shape == distances.shape == tuple(shape):
-            return None
-        return NeighborLists(indices=indices, distances=distances)
+        shape = None if shape is None else tuple(shape)
+        return self._load("nb", key, NeighborLists, dict.fromkeys(("indices", "distances"), shape))
 
     def save_neighbors(self, key: str, nb: NeighborLists) -> None:
-        self._save("nb", key, indices=nb.indices, distances=nb.distances)
+        self._save("nb", key, nb)
 
     def load_spectrum(self, key: str, shape=None) -> SpectralDecomposition | None:
         """The cached spectrum, or None; shape is the expected (n, num_eigs), if known."""
-        data = self._load("eig", key)
-        if data is None:
-            return None
-        eigenvalues, basis, stationary = data["eigenvalues"], data["basis"], data["stationary"]
-        if shape is not None:
-            n, num_eigs = shape
-            got = (eigenvalues.shape, basis.shape, stationary.shape)
-            if got != ((num_eigs,), (n, num_eigs), (n,)):
-                return None
-        return SpectralDecomposition(
-            eigenvalues=eigenvalues, basis=basis, stationary=stationary
-        )
+        n, num_eigs = (None, None) if shape is None else shape
+        want = {"eigenvalues": (num_eigs,), "basis": (n, num_eigs), "stationary": (n,)}
+        return self._load("eig", key, SpectralDecomposition,
+                          dict.fromkeys(want) if shape is None else want)
 
     def save_spectrum(self, key: str, spec: SpectralDecomposition) -> None:
-        self._save(
-            "eig",
-            key,
-            eigenvalues=spec.eigenvalues,
-            basis=spec.basis,
-            stationary=spec.stationary,
-        )
+        self._save("eig", key, spec)

@@ -11,7 +11,6 @@ split deterministically per (method, trial).
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import os
@@ -36,7 +35,7 @@ from .dataset import (
     save_csv,
     save_labels,
 )
-from .geometry import ModeScores, save_mode_scores_csv
+from .geometry import DiffusionEmbedding, ModeScores, save_mode_scores_csv
 from .graph import NumericalError
 from .land import BudgetExceededError, GroundTruthOracle, InteractiveOracle, _check_budget, land
 from .lund import estimate_num_clusters, lund, lund_k, lund_purity_curve, separation_diagnostics
@@ -213,44 +212,44 @@ def _scan(model: DiffusionModel, grid):
         yield t, step
 
 
-def choose_time(build, cfg: dict, truth: np.ndarray | None) -> tuple[float, ModeScores | None]:
-    """Resolve the diffusion time: explicit value, or the K-matching scan.
+def choose_time(model: DiffusionModel,
+                truth: np.ndarray) -> tuple[float, DiffusionEmbedding, ModeScores]:
+    """The K-matching scan behind --t auto: (t, embedding, scores).
 
-    "auto" scans a log10 grid and picks the median time whose estimated
-    cluster count equals the number of classes in truth (only that count
-    is read from the labels).  build() returns the model; it is called
-    only for the scan, after the flags are checked, so a bad --t fails
-    before any graph work.  Returns (t, the scan's mode scores at t), with
-    None for the scores when no scan time matched or none ran.
+    Scans a log10 grid and picks the median time whose estimated cluster
+    count equals the number of classes in truth (only that count is read
+    from the labels), with the scan's embedding and scores at it.  When no
+    grid time matches, the middle grid time is scored.
     """
-    raw = cfg.get("t", "auto")
-    if str(raw).lower() != "auto":
-        try:
-            return float(raw), None
-        except ValueError:
-            raise ConfigError(f"bad diffusion time {raw!r}") from None
-    if truth is None:
-        raise ConfigError("--t auto needs --truth to count classes")
     num_classes = _num_classes(truth)
     grid = log_t_grid(*AUTO_T_GRID)
-    matches = [(t, step[1]) for t, step in _scan(build(), grid)
+    matches = [(t, *step[:2]) for t, step in _scan(model, grid)
                if not isinstance(step, NumericalError) and step[2] == num_classes]
     if matches:
-        t, scores = matches[len(matches) // 2]
-        return float(t), scores
-    return float(grid[len(grid) // 2]), None
+        t, emb, scores = matches[len(matches) // 2]
+        return float(t), emb, scores
+    t = float(grid[len(grid) // 2])
+    return (t, *model.scores_at(t))
 
 
 def _prepare_scores(cfg: dict, cloud: PointCloud, truth: np.ndarray | None):
-    """Resolve t, build the model, and score every point at t; the auto
-    scan's scores at t are reused, with the embedding rebuilt from t."""
-    model = functools.cache(lambda: build_model_from_config(cfg, cloud))
-    t, scores = choose_time(model, cfg, truth)
-    if scores is None:
-        emb, scores = model().scores_at(t)
-    else:
-        emb = model().embedding(t)
-    return model(), t, emb, scores
+    """(model, t, embedding, scores): --t is checked before any graph work,
+    then the model is built once and scored at t, or at the time that
+    choose_time picks for "auto"."""
+    raw = str(cfg.get("t", "auto"))
+    if raw.lower() == "auto":
+        if truth is None:
+            raise ConfigError("--t auto needs --truth to count classes")
+        model = build_model_from_config(cfg, cloud)
+        return (model, *choose_time(model, truth))
+    try:
+        t = float(raw)
+    except ValueError:
+        raise ConfigError(f"bad diffusion time {raw!r}") from None
+    if not 0 <= t < np.inf:
+        raise ConfigError(f"diffusion time must be finite and non-negative, got {raw!r}")
+    model = build_model_from_config(cfg, cloud)
+    return (model, t, *model.scores_at(t))
 
 
 def _trial_seed(root_seed: int, method: str, trial: int) -> int:
@@ -514,9 +513,12 @@ def _parse_grid(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise ConfigError(f"grid must be start:stop:step in log10, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1]), float(parts[2])
+        grid = float(parts[0]), float(parts[1]), float(parts[2])
     except ValueError:
         raise ConfigError(f"bad grid {text!r}") from None
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError(f"bad grid {text!r}: start, stop and step must be finite")
+    return grid
 
 
 def cmd_scan_t(args) -> int:

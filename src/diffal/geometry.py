@@ -75,8 +75,8 @@ class ModeScores:
 
 def eigenvalue_powers(eigenvalues: np.ndarray, t: float) -> np.ndarray:
     """lambda^t for each eigenvalue; integer t uses exact signed powers."""
-    if t < 0:
-        raise ValueError(f"diffusion time must be non-negative, got {t}")
+    if not 0 <= t < np.inf:
+        raise ValueError(f"diffusion time must be finite and non-negative, got {t}")
     if t == 0:
         return np.ones_like(eigenvalues)
     if float(t).is_integer():
@@ -122,7 +122,7 @@ def kde(
     use only depends on relative values).  Pass precomputed neighbor lists
     with at least k_density columns to skip the search.
     """
-    if sigma0 <= 0:
+    if not sigma0 > 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
     if not 1 <= k_density < cloud.n:
         raise ValueError(f"need 1 <= k_density < n, got k_density={k_density}, n={cloud.n}")

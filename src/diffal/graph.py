@@ -259,7 +259,7 @@ def kernel_matrix(nb: NeighborLists, sigma: float) -> SparseKernelMatrix:
     The matrix is symmetrized by entrywise max (one-sided edges keep the
     kernel value) and the diagonal is set to 1, the kernel at distance 0.
     """
-    if sigma <= 0:
+    if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     n, k = nb.n, nb.k
     vals = np.exp(-((nb.distances / sigma) ** 2)).ravel()

@@ -148,19 +148,13 @@ def align_labels(pred, truth) -> np.ndarray:
     pred = validate_labels(pred, complete=True)
     truth = validate_labels(truth, n=pred.shape[0])
     mask = truth > 0
-    pred_ids = np.unique(pred)
-    true_ids = np.unique(truth[mask]) if np.any(mask) else np.array([], dtype=np.int64)
+    pred_ids = _runs(pred)[0]
+    true_ids = _runs(truth[mask])[0]
 
-    agree = np.zeros((pred_ids.size, true_ids.size), dtype=np.int64)
-    np.add.at(
-        agree,
-        (np.searchsorted(pred_ids, pred[mask]), np.searchsorted(true_ids, truth[mask])),
-        1,
-    )
-
+    # agreement counts of (pred id, true id) pairs, zero-padded to a square
     side = max(pred_ids.size, true_ids.size)
-    padded = np.zeros((side, side), dtype=np.int64)
-    padded[: pred_ids.size, : true_ids.size] = agree
+    cells = np.searchsorted(pred_ids, pred[mask]) * side + np.searchsorted(true_ids, truth[mask])
+    padded = np.bincount(cells, minlength=side * side).reshape(side, side)
     row_ind, col_ind = linear_sum_assignment(padded, maximize=True)
 
     # new_ids[r] is the renamed id of pred_ids[r]; true ids are >= 1, so 0

@@ -55,9 +55,6 @@ class DiffusionModel:
     def n(self) -> int:
         return self.cloud.n
 
-    def embedding(self, t: float) -> DiffusionEmbedding:
-        return diffusion_embed(self.spectrum, t)
-
     def scores_at(self, t: float) -> tuple[DiffusionEmbedding, ModeScores]:
         """Embedding and mode scores at diffusion time t.
 
@@ -74,7 +71,7 @@ class DiffusionModel:
                 f"zero mode score at t={t:g}: every non-Perron eigenvalue power "
                 "lambda^t underflows to 0, so the diffusion embedding is constant"
             )
-        emb = self.embedding(t)
+        emb = diffusion_embed(self.spectrum, t)
         rho_values, nearest = rho(emb, self.density)
         return emb, mode_scores(self.density, rho_values, nearest)
 
@@ -95,7 +92,8 @@ def build_model(
     below 1e-8 in modulus dropped.  The eigensolver works to machine
     precision.  Fewer than two points, or a default sigma of 0 (every k-th
     neighbor distance is 0), is a DataError, the first also a ValueError; an
-    explicit sigma <= 0 is a ValueError.
+    explicit sigma or sigma0 that is not positive (NaN included) is a
+    ValueError.
     """
     n = cloud.n
     if n < 2:
@@ -106,18 +104,21 @@ def build_model(
         num_eigs = default_num_eigs(n)
 
     cache = DiffusionCache(cache_dir) if cache_dir is not None else None
+    points_state = points_hash(cloud.points) if cache is not None else None
 
-    neighbors = None
-    nb_key = None
-    if cache is not None:
-        points_state = points_hash(cloud.points)
-        nb_key = params_key(points_state, kind="neighbors", k=k)
-        neighbors = cache.load_neighbors(nb_key, shape=(n, k))
-    if neighbors is None:
-        neighbors = knn_search(cloud, k)
-        if cache is not None:
-            cache.save_neighbors(nb_key, neighbors)
+    def cached(kind, shape, compute, **params):
+        """The cache's entry of this kind for (points, params), computed and
+        saved on a miss; kind names the cache's load_/save_ methods."""
+        if cache is None:
+            return compute()
+        key = params_key(points_state, kind=kind, **params)
+        entry = getattr(cache, f"load_{kind}")(key, shape=shape)
+        if entry is None:
+            entry = compute()
+            getattr(cache, f"save_{kind}")(key, entry)
+        return entry
 
+    neighbors = cached("neighbors", (n, k), lambda: knn_search(cloud, k), k=k)
     if sigma is None:
         sigma = default_sigma(neighbors)
         if sigma == 0:
@@ -129,19 +130,11 @@ def build_model(
     if sigma0 is None:
         sigma0 = sigma
 
-    spectrum = None
-    eig_key = None
-    if cache is not None:
-        eig_key = params_key(
-            points_state, kind="spectrum", k=k, sigma=sigma, num_eigs=num_eigs,
-            solver=EIGENSOLVER_VERSION,
-        )
-        spectrum = cache.load_spectrum(eig_key, shape=(n, num_eigs))
-    if spectrum is None:
-        chain = markov_normalize(kernel_matrix(neighbors, sigma))
-        spectrum = spectral_decompose(chain, num_eigs)
-        if cache is not None:
-            cache.save_spectrum(eig_key, spectrum)
+    spectrum = cached(
+        "spectrum", (n, num_eigs),
+        lambda: spectral_decompose(markov_normalize(kernel_matrix(neighbors, sigma)), num_eigs),
+        k=k, sigma=sigma, num_eigs=num_eigs, solver=EIGENSOLVER_VERSION,
+    )
     spectrum = truncate_small_eigenvalues(spectrum)
 
     density = kde(cloud, k, sigma0, neighbors=neighbors)
@@ -156,6 +149,8 @@ def build_model(
 
 def log_t_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Diffusion times 10**x for x = start, start+step, ..., stop."""
+    if not np.all(np.isfinite([start, stop, step])):
+        raise ValueError(f"time grid bounds and step must be finite, got {start}:{stop}:{step}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     count = int(round((stop - start) / step)) + 1

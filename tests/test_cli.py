@@ -884,3 +884,54 @@ def test_purity_replays_every_level_above_the_roots_rank(small_dataset, tmp_path
     assert calls == {"lund_k": 1, "purity": 0, "cut_sequence": 0}
     rows = out.read_text().splitlines()
     assert len(rows) == 1 + 3 * 120
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "1e400", "-1"])
+def test_time_outside_zero_to_infinity_fails_before_the_graph(
+    small_dataset, tmp_path, capsys, monkeypatch, t
+):
+    points, labels, _, _ = small_dataset
+    builds = _spy_builds(monkeypatch)
+    out = tmp_path / "labels.txt"
+    assert run_cli("lund", "--data", str(points), "--truth", str(labels), f"--t={t}",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"config error: diffusion time must be finite and non-negative, got {t!r}"
+    assert builds == []
+    assert not out.exists()
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        geometry.eigenvalue_powers(np.array([1.0, 0.5]), float(t))
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "0:nan:1", "nan:1:1", "0:1:nan"])
+def test_non_finite_t_grid_part_is_a_config_error(small_dataset, tmp_path, capsys,
+                                                  monkeypatch, grid):
+    points, _, _, _ = small_dataset
+    builds = _spy_builds(monkeypatch)
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan-t", "--data", str(points), "--t-grid", grid, "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"config error: bad grid {grid!r}: start, stop and step must be finite"
+    assert builds == []
+    assert not out.exists()
+    with pytest.raises(ValueError, match="must be finite"):
+        da.log_t_grid(*(float(part) for part in grid.split(":")))
+
+
+@pytest.mark.parametrize("flag", ["--sigma", "--sigma0"])
+def test_nan_bandwidth_is_a_config_error_that_names_it(small_dataset, tmp_path, capsys, flag):
+    points, labels, _, _ = small_dataset
+    out = tmp_path / "labels.txt"
+    assert run_cli("lund", "--data", str(points), "--truth", str(labels), flag, "nan",
+                   "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"config error: {flag[2:]} must be positive, got nan"
+    assert not out.exists()
+
+
+def test_infinite_sigma_still_labels(small_dataset, tmp_path):
+    points, labels, _, _ = small_dataset
+    out = tmp_path / "labels.txt"
+    assert run_cli("lund", "--data", str(points), "--truth", str(labels), "--sigma", "inf",
+                   "--out", str(out)) == 0
+    assert da.load_labels(out).shape == (120,)

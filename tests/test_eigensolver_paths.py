@@ -185,6 +185,38 @@ class TestUntrustedCacheEntries:
         loaded = cache.load_spectrum(key, shape=(cloud.n, num_eigs))
         assert loaded.eigenvalues.shape == (num_eigs,)
 
+    @pytest.mark.parametrize("fault", ["misshapen", "missing"])
+    @pytest.mark.parametrize("array", ["indices", "distances", "eigenvalues", "basis",
+                                       "stationary"])
+    def test_entry_with_one_bad_array_is_a_miss_and_overwritten(self, tmp_path, array, fault):
+        cloud = self._cloud()
+        fresh = da.build_model(cloud, k=self.K, cache_dir=tmp_path)
+        cache = da.DiffusionCache(tmp_path)
+        if array in ("indices", "distances"):
+            kind, load, shape = "nb", cache.load_neighbors, (cloud.n, self.K)
+        else:
+            kind, load = "eig", cache.load_spectrum
+            shape = (cloud.n, da.default_num_eigs(cloud.n))
+        (path,) = tmp_path.glob(f"{kind}_*.npz")
+        key = path.stem.split("_", 1)[1]
+        with np.load(path) as data:
+            good = {name: data[name] for name in data.files}
+        bad = dict(good)
+        if fault == "misshapen":
+            bad[array] = good[array][:-1]
+        else:
+            del bad[array]
+        np.savez(path, **bad)
+        assert load(key, shape=shape) is None
+        if fault == "missing":
+            assert load(key) is None
+
+        self._assert_same(da.build_model(cloud, k=self.K, cache_dir=tmp_path), fresh)
+        with np.load(path) as data:
+            assert sorted(data.files) == sorted(good)
+            assert all(np.array_equal(data[name], good[name]) for name in good)
+        assert load(key, shape=shape) is not None
+
 
 def _no_convergence(*args, **kwargs):
     raise graph.splinalg.ArpackNoConvergence("no convergence", np.zeros(3), None)
