@@ -1,4 +1,5 @@
-"""On-disk cache for neighbor lists and spectral decompositions.
+"""On-disk cache for neighbor lists, spectral decompositions and
+nearest-denser results.
 
 Entries are keyed by a content hash of the points plus the parameters that
 produced them, stored as pickle-free .npz archives carrying a format
@@ -8,6 +9,11 @@ result: one that cannot be read (truncated, corrupt), that lacks an array,
 or whose arrays do not have the shapes the caller expects from n, k and
 num_eigs.  Spectrum keys carry the eigensolver version, so spectra cached
 by an older solver are recomputed.
+
+A nearest-denser ("rho") entry holds geometry.rho's two arrays at one
+diffusion time, 16 bytes per point.  Its key hashes the points, k, sigma,
+sigma0, num_eigs, the eigensolver version and repr(float(t)), so an
+np.float64 grid time and the same --t typed as a number share one entry.
 """
 
 from __future__ import annotations
@@ -16,13 +22,21 @@ import hashlib
 import os
 import tempfile
 import zipfile
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .graph import NeighborLists, SpectralDecomposition
 
 FORMAT_VERSION = 1
+
+
+@dataclass(frozen=True)
+class NearestDenser:
+    """geometry.rho's (rho, nearest_higher) at one diffusion time."""
+
+    rho: np.ndarray
+    nearest_higher: np.ndarray
 
 
 def points_hash(points: np.ndarray):
@@ -104,3 +118,12 @@ class DiffusionCache:
 
     def save_spectrum(self, key: str, spec: SpectralDecomposition) -> None:
         self._save("eig", key, spec)
+
+    def load_rho(self, key: str, shape=None) -> NearestDenser | None:
+        """The cached nearest-denser result, or None; shape is the expected (n,), if known."""
+        shape = None if shape is None else tuple(shape)
+        return self._load("rho", key, NearestDenser,
+                          dict.fromkeys(("rho", "nearest_higher"), shape))
+
+    def save_rho(self, key: str, entry: NearestDenser) -> None:
+        self._save("rho", key, entry)

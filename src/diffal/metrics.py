@@ -19,7 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dataset import _DataValueError, validate_labels
+from .dataset import DataError, _DataValueError, validate_labels
+
+
+class _DataOverflowError(DataError, OverflowError):
+    """A data fault that the API raises as an OverflowError: exit 3 in the CLI."""
 
 
 @dataclass(frozen=True)
@@ -143,7 +147,8 @@ def align_labels(pred, truth) -> np.ndarray:
     Solves the optimal one-to-one assignment between predicted ids and true
     classes over the evaluable points; predicted ids left unmatched get
     fresh ids beyond the truth alphabet.  Returns the full-length renamed
-    prediction.
+    prediction.  A truth id of 2**63 - 1 leaves no int64 id past the
+    alphabet: a DataError that is also an OverflowError.
     """
     pred = validate_labels(pred, complete=True)
     truth = validate_labels(truth, n=pred.shape[0])
@@ -165,6 +170,10 @@ def align_labels(pred, truth) -> np.ndarray:
     new_ids[row_ind[matched]] = true_ids[col_ind[matched]]
     unmatched = new_ids == 0
     fresh = int(true_ids.max()) + 1 if true_ids.size else 1
+    if fresh > np.iinfo(np.int64).max:
+        raise _DataOverflowError(
+            f"truth id {fresh - 1} leaves no int64 id past the truth alphabet for "
+            "fresh cluster ids; relabel the classes with smaller ids")
     new_ids[unmatched] = fresh + np.arange(np.count_nonzero(unmatched))
     return new_ids[np.searchsorted(pred_ids, pred)]
 

@@ -6,16 +6,19 @@ per-t embeddings and mode scores are derived from it cheaply, so t sweeps
 reuse one decomposition.  A time at which every non-Perron weight lambda^t
 underflows to 0 carries no geometry: it fails before the nearest-denser
 search, with the same zero-mode-score NumericalError the cluster count
-would raise.
+would raise.  A model built with a cache_dir also caches each scored t's
+nearest-denser search, the costly part of scores_at.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .cache import DiffusionCache, params_key, points_hash
+from .cache import DiffusionCache, NearestDenser, params_key, points_hash
 from .dataset import DataError, PointCloud, _DataValueError
 from .geometry import (
     DensityEstimate,
@@ -50,6 +53,10 @@ class DiffusionModel:
     spectrum: SpectralDecomposition
     density: DensityEstimate
     sigma: float
+    # cached_rho(search, t=t): the cache's nearest-denser entry at t, or
+    # search() saved under it; None for a model built without a cache_dir
+    cached_rho: Callable[..., NearestDenser] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -64,6 +71,11 @@ class DiffusionModel:
         NumericalError ("zero mode score") before the search.  A 0 weight
         means |lambda_2| is far below 1, so the graph is connected; the
         lambda = 1 columns of a disconnected graph keep weight 1.
+
+        A model built with a cache_dir reads the nearest-denser search's
+        result at t from the cache, after those checks and only then, and on
+        a miss searches and saves it; a model built without one does no disk
+        I/O.  The embedding and the scores are derived afresh either way.
         """
         weights = eigenvalue_powers(self.spectrum.eigenvalues, t)
         if weights.size > 1 and not np.any(weights[1:]):
@@ -72,8 +84,12 @@ class DiffusionModel:
                 "lambda^t underflows to 0, so the diffusion embedding is constant"
             )
         emb = diffusion_embed(self.spectrum, t)
-        rho_values, nearest = rho(emb, self.density)
-        return emb, mode_scores(self.density, rho_values, nearest)
+
+        def search():
+            return NearestDenser(*rho(emb, self.density))
+
+        found = search() if self.cached_rho is None else self.cached_rho(search, t=float(t))
+        return emb, mode_scores(self.density, found.rho, found.nearest_higher)
 
 
 def build_model(
@@ -144,6 +160,9 @@ def build_model(
         spectrum=spectrum,
         density=density,
         sigma=float(sigma),
+        cached_rho=None if cache is None else partial(
+            cached, "rho", (n,), k=k, sigma=float(sigma), sigma0=float(sigma0),
+            num_eigs=num_eigs, solver=EIGENSOLVER_VERSION),
     )
 
 

@@ -628,6 +628,16 @@ class TestUnreadableInputs:
             assert err.startswith(f"data error: cannot read {folder}:") and "\n" not in err
             assert not out.exists()
 
+    def test_truth_id_at_the_int64_limit_is_a_data_error(self, small_dataset, tmp_path, capsys):
+        # lund's accuracy report aligns its clusters to the truth, which
+        # leaves no int64 id past 2**63 - 1 for an unmatched cluster
+        points, _, _, truth = small_dataset
+        labels = tmp_path / "big.txt"
+        da.save_labels(labels, np.where(truth == 2, 2**63 - 1, truth))
+        assert run_cli("lund", "--data", str(points), "--truth", str(labels), "--t", "100",
+                       "--out", str(tmp_path / "labels.txt")) == 3
+        assert _one_line(capsys, "data")
+
 
 class TestCacheThatIsAFile:
     def test_every_graph_command_fails_before_the_graph(self, tmp_path, capsys):
