@@ -26,9 +26,9 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import PointCloud
+from .dataset import PointCloud, _check_count, _check_levels
 from .geometry import DensityEstimate, DiffusionEmbedding
-from .land import ActiveResult, _check_budget, _query_and_propagate
+from .land import ActiveResult, _query_and_propagate
 from .metrics import _ClassCounts, _labeled
 
 LINKAGE_METHODS = ("single", "average")
@@ -139,14 +139,6 @@ def linkage(cloud: PointCloud, method: str) -> Dendrogram:
     return Dendrogram(children_a=ch_a, children_b=ch_b, heights=heights, n_leaves=n)
 
 
-def _check_levels(levels, n: int) -> list:
-    levels = list(levels)
-    for ell in levels:
-        if not 1 <= ell <= n:
-            raise ValueError(f"need 1 <= level <= n, got {ell}")
-    return levels
-
-
 def cut(dend: Dendrogram, num_clusters: int) -> np.ndarray:
     """Partition into exactly num_clusters clusters by undoing the last merges.
 
@@ -223,7 +215,7 @@ def land_random(
     """Active labeling with uniformly random query points instead of the
     mode-score maximizers; everything after the queries is unchanged,
     including the partial query trail on a refused query."""
-    _check_budget(budget, dens.n)
+    _check_count("budget", budget, dens.n)
     rng = np.random.default_rng(seed)
     targets = rng.choice(dens.n, size=budget, replace=False).astype(np.int64)
     return _query_and_propagate(targets, dens, emb, oracle, nearest_higher)

@@ -27,6 +27,7 @@ from .datagen import (HIERARCHICAL_COARSE, gen_bottleneck, gen_gaussians, gen_ge
 from .dataset import (
     DataError,
     PointCloud,
+    _check_count,
     _read_lines,
     load_csv,
     load_hsi_cube,
@@ -37,7 +38,7 @@ from .dataset import (
 )
 from .geometry import DiffusionEmbedding, ModeScores, save_mode_scores_csv
 from .graph import NumericalError
-from .land import BudgetExceededError, GroundTruthOracle, InteractiveOracle, _check_budget, land
+from .land import BudgetExceededError, GroundTruthOracle, InteractiveOracle, land
 from .lund import estimate_num_clusters, lund, lund_k, lund_purity_curve, separation_diagnostics
 from .metrics import accuracy_scores, align_labels
 from .pipeline import DiffusionModel, build_model, log_t_grid
@@ -185,6 +186,8 @@ def _make_dirs(*paths) -> None:
 
 
 def build_model_from_config(cfg: dict, cloud: PointCloud) -> DiffusionModel:
+    if cfg.get("num_eigs") is not None:  # before the --cache directory is made
+        _check_count("num_eigs", cfg["num_eigs"], cloud.n)
     _make_dirs(cfg.get("cache"))
     return build_model(
         cloud,
@@ -264,10 +267,14 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
     writing and contain no timestamps, so reruns are byte-identical.
     """
     methods = [m.strip() for m in str(cfg["methods"]).split(",") if m.strip()]
+    if not methods:
+        raise ConfigError("no methods to run: the methods list is empty")
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
     budgets = _parse_int_list(cfg["budgets"], "budgets")
+    if not budgets and set(methods) - {"lund"}:
+        raise ConfigError("the budgets list is empty; only lund runs without budgets")
     trials = int(cfg["trials"])
     if trials < 1:
         raise ConfigError("trials must be at least 1")
@@ -282,7 +289,7 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
             if method == "cbal":
                 _check_cbal_args(budget, cfg["cbal_theta"], cfg["cbal_sample_size"])
             elif method != "lund":
-                _check_budget(budget, cloud.n)
+                _check_count("budget", budget, cloud.n)
     model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
 
     dend = None
@@ -410,7 +417,7 @@ def _add_graph_flags(sub) -> None:
     sub.add_argument("--sigma", type=float, help="kernel bandwidth (default mean k-th NN distance)")
     sub.add_argument("--sigma0", type=float, help="density bandwidth (default sigma)")
     sub.add_argument("--num-eigs", type=int, help="retained eigenpairs (default 25)")
-    sub.add_argument("--cache", help="directory for neighbor/spectrum caching")
+    sub.add_argument("--cache", help="cache of neighbor lists, spectra and per-t rho_* entries")
 
 
 def _add_input_flags(sub) -> None:
@@ -465,11 +472,13 @@ def _print_accuracy(pred: np.ndarray, truth: np.ndarray) -> None:
 
 def cmd_lund(args) -> int:
     cfg, cloud, truth = _read_inputs(args, args.out, args.scores_out)
+    if args.num_clusters is not None:
+        _check_count("num_clusters", args.num_clusters, cloud.n)
     model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
     result = (
-        lund_k(scores, model.density, emb, args.num_clusters)
-        if args.num_clusters
-        else lund(scores, model.density, emb)
+        lund(scores, model.density, emb)
+        if args.num_clusters is None
+        else lund_k(scores, model.density, emb, args.num_clusters)
     )
     save_labels(args.out, result.labels)
     if args.scores_out:
@@ -482,13 +491,12 @@ def cmd_lund(args) -> int:
 
 def cmd_land(args) -> int:
     cfg, cloud, truth = _read_inputs(args, args.out)
+    _check_count("budget", args.budget, cloud.n)
+    if truth is None and not args.interactive:
+        raise ConfigError("batch mode needs --truth (or use --interactive)")
     model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
-    if args.interactive:
-        oracle = InteractiveOracle(args.budget, points=cloud.points)
-    else:
-        if truth is None:
-            raise ConfigError("batch mode needs --truth (or use --interactive)")
-        oracle = GroundTruthOracle(truth, args.budget)
+    oracle = (InteractiveOracle(args.budget, points=cloud.points) if args.interactive
+              else GroundTruthOracle(truth, args.budget))
     result = land(scores, model.density, emb, args.budget, oracle)
     save_labels(args.out, result.labels)
     print(f"t={t:.6g} queried={result.queries_used} wrote {args.out}")
@@ -530,8 +538,7 @@ def cmd_scan_t(args) -> int:
 
 def cmd_purity(args) -> int:
     cfg, cloud, truth = _read_inputs(args, args.out)
-    if not 1 <= args.levels <= cloud.n:
-        raise ConfigError(f"need 1 <= --levels <= n = {cloud.n}, got {args.levels}")
+    _check_count("--levels", args.levels, cloud.n)
     model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
     levels = list(range(1, args.levels + 1))
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -549,8 +556,13 @@ def cmd_purity(args) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # one line on stderr, like every other config error
+        self.exit(2, f"config error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="diffal",
         description="Diffusion-geometry active learning and clustering",
     )

@@ -79,6 +79,19 @@ def validate_labels(labels, n: int | None = None, complete: bool = False) -> np.
     return arr
 
 
+def _check_count(name: str, value: int, n: int) -> None:
+    """The rule for a count of points, queries, clusters or eigenpairs: 1..n."""
+    if not 1 <= value <= n:
+        raise ValueError(f"need 1 <= {name} <= n, got {name}={value}, n={n}")
+
+
+def _check_levels(levels, n: int) -> list:
+    levels = list(levels)
+    for ell in levels:
+        _check_count("level", ell, n)
+    return levels
+
+
 def _read_lines(path, error=DataError, comments=False):
     """Yield (line number, stripped line) for each non-blank line of a UTF-8
     text file, read lazily, with `#` comments cut when asked.  Any failure to

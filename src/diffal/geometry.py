@@ -74,14 +74,11 @@ class ModeScores:
 
 
 def eigenvalue_powers(eigenvalues: np.ndarray, t: float) -> np.ndarray:
-    """lambda^t for each eigenvalue; integer t uses exact signed powers."""
+    """lambda^t for each eigenvalue, one float power for every t (ones at t = 0, exact
+    signed powers at integer t); a negative eigenvalue at non-integer t has none."""
     if not 0 <= t < np.inf:
         raise ValueError(f"diffusion time must be finite and non-negative, got {t}")
-    if t == 0:
-        return np.ones_like(eigenvalues)
-    if float(t).is_integer():
-        return eigenvalues ** int(t)
-    if np.any(eigenvalues < 0):
+    if not float(t).is_integer() and np.any(eigenvalues < 0):
         bad = float(eigenvalues[eigenvalues < 0][0])
         raise NumericalError(
             f"non-integer diffusion time t={t} with a negative retained "

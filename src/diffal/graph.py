@@ -39,7 +39,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 from scipy.spatial import cKDTree
 
-from .dataset import PointCloud
+from .dataset import PointCloud, _check_count
 
 # Relative safety margin when deciding whether a kd-tree candidate set is
 # provably complete; dominates the ~1e-14 arithmetic disagreement between
@@ -355,15 +355,15 @@ def _two_hop_growth(S) -> float:
 
 
 def _sparse_eigensolve(S, num_eigs: int, v0: np.ndarray):
-    """Top-by-modulus eigenpairs of S via shift-invert Lanczos.
+    """Top-by-modulus eigenpairs of S via shift-invert Lanczos, or None.
 
     Used on planar-like graphs only, where the sparse LU of S - sigma I stays
     sparse.  The eigenvalues nearest a shift just above +1 are the largest
     algebraic ones; they are the top by modulus unless the bottom of the
     spectrum reaches below minus the smallest kept value.  A cheap probe of
     the smallest eigenvalue must prove that it does not.  When it cannot, or
-    the factorization or the probe fails, one plain Lanczos call for the top
-    pairs by modulus answers instead.
+    the factorization or the probe fails, the result is None, and the caller
+    runs its plain Lanczos call for the top pairs by modulus instead.
     """
     probe_tol = 1e-3
     try:
@@ -373,12 +373,12 @@ def _sparse_eigensolve(S, num_eigs: int, v0: np.ndarray):
         bottom = splinalg.eigsh(
             S, k=1, which="SA", v0=v0, tol=probe_tol, return_eigenvectors=False
         )
-        # Ritz values sit inside the spectrum; widen by the residual bound
-        if float(bottom[0]) - 10.0 * probe_tol - 1e-3 > -float(np.min(np.abs(vals))):
-            return vals, vecs
     except (RuntimeError, MemoryError):  # ArpackNoConvergence is a RuntimeError
-        pass
-    return splinalg.eigsh(S, k=num_eigs, which="LM", v0=v0)
+        return None
+    # Ritz values sit inside the spectrum; widen by the residual bound
+    if float(bottom[0]) - 10.0 * probe_tol - 1e-3 > -float(np.min(np.abs(vals))):
+        return vals, vecs
+    return None
 
 
 def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
@@ -396,18 +396,16 @@ def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
     converted to right eigenvectors of P by dividing by sqrt(stationary).
     """
     n = mc.n
-    if not 1 <= num_eigs <= n:
-        raise ValueError(f"need 1 <= num_eigs <= n, got num_eigs={num_eigs}, n={n}")
+    _check_count("num_eigs", num_eigs, n)
     S = _symmetric_conjugate(mc)
     if n <= _DENSE_EIG_CUTOFF or 2 * num_eigs + 2 > n:
         evals, evecs = scipy.linalg.eigh(S.toarray())
     else:
         v0 = np.full(n, 1.0 / math.sqrt(n))
         try:
-            if _two_hop_growth(S) <= _PLANAR_GROWTH:
-                evals, evecs = _sparse_eigensolve(S, num_eigs, v0)
-            else:
-                evals, evecs = splinalg.eigsh(S, k=num_eigs, which="LM", v0=v0)
+            planar = _two_hop_growth(S) <= _PLANAR_GROWTH
+            pairs = _sparse_eigensolve(S, num_eigs, v0) if planar else None
+            evals, evecs = pairs or splinalg.eigsh(S, k=num_eigs, which="LM", v0=v0)
         except splinalg.ArpackNoConvergence as exc:
             got = 0 if exc.eigenvalues is None else len(exc.eigenvalues)
             raise NumericalError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import _DataValueError, validate_labels
+from .dataset import _DataValueError, _check_count, validate_labels
 from .geometry import DensityEstimate, DiffusionEmbedding, ModeScores
 from .lund import propagate_labels
 
@@ -117,12 +117,6 @@ class ActiveResult:
         return np.unique(self.queried_labels)
 
 
-def _check_budget(budget: int, n: int) -> None:
-    """The budget rule of land and land_random: 1 <= budget <= n."""
-    if not 1 <= budget <= n:
-        raise ValueError(f"need 1 <= budget <= n, got budget={budget}, n={n}")
-
-
 def _query_and_propagate(
     targets: np.ndarray,
     dens: DensityEstimate,
@@ -174,6 +168,6 @@ def land(
     order.  If the oracle refuses a query mid-run the partial query trail is
     attached to the raised BudgetExceededError.
     """
-    _check_budget(budget, scores.n)
+    _check_count("budget", budget, scores.n)
     targets = scores.order[:budget].copy()
     return _query_and_propagate(targets, dens, emb, oracle, scores.nearest_higher)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .dataset import validate_labels
-from .geometry import (DensityEstimate, DiffusionEmbedding, ModeScores, density_descending_order,
+from .dataset import _check_count, _check_levels, validate_labels
+from .geometry import (DensityEstimate, DiffusionEmbedding, ModeScores, global_density_maximizer,
                        nearest_denser_points)
-from .graph import NumericalError
+from .graph import _BLOCK_ELEMENTS, NumericalError
 from .metrics import _ClassCounts, _labeled, purity
 
 
@@ -141,8 +141,7 @@ def lund_k(
     Seeds labels 1..K on the top-K mode-score points, then propagates them.
     """
     n = scores.n
-    if not 1 <= num_clusters <= n:
-        raise ValueError(f"need 1 <= num_clusters <= n, got {num_clusters}")
+    _check_count("num_clusters", num_clusters, n)
     modes = scores.order[:num_clusters].copy()
     seeds = np.zeros(n, dtype=np.int64)
     seeds[modes] = np.arange(1, num_clusters + 1)
@@ -168,10 +167,7 @@ def lund_purity_curve(
     are labeled one by one.
     """
     n = scores.n
-    levels = list(levels)
-    for ell in levels:
-        if not 1 <= ell <= n:
-            raise ValueError(f"need 1 <= num_clusters <= n, got {ell}")
+    levels = _check_levels(levels, n)
     truth, mask = _labeled(truth, n)
     up = _checked_forest(scores.nearest_higher, n)
     rank = np.empty(n, dtype=np.int64)
@@ -222,13 +218,12 @@ def separation_diagnostics(
     dens: DensityEstimate,
     truth: np.ndarray,
     sample_rows: int | None = None,
-    seed: int = 0,
 ) -> SeparationDiagnostics:
     """Max within-class and min between-class diffusion distances.
 
     Exact over all point pairs by default (chunked, O(n^2) time).  For large
-    n a row sample can be requested; the resulting d_in is then a lower
-    bound and d_btw an upper bound, which is recorded as-is.
+    n a row sample (drawn with seed 0) can be requested; the resulting d_in
+    is then a lower bound and d_btw an upper bound, which is recorded as-is.
     """
     truth = validate_labels(truth, n=dens.n, complete=True)
     classes = np.unique(truth)
@@ -239,20 +234,20 @@ def separation_diagnostics(
     for ci, c in enumerate(classes):
         # classwise density peak; members ascend, so ties go to the smaller index
         members = np.flatnonzero(truth == c)
-        maximizers[ci] = members[density_descending_order(dens.p[members])[0]]
+        maximizers[ci] = members[global_density_maximizer(dens.p[members])]
     mode_density = dens.p[maximizers]
     max_mode = float(mode_density.max())
     min_mode = float(mode_density.min())
 
     if sample_rows is not None and sample_rows < n:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         rows = np.union1d(rng.choice(n, size=sample_rows, replace=False), maximizers)
     else:
         rows = np.arange(n)
 
     d_in = 0.0
     d_btw = math.inf
-    chunk = max(1, int(2**22 // max(1, n)))
+    chunk = max(1, int(_BLOCK_ELEMENTS // max(1, n)))
     for start in range(0, len(rows), chunk):
         block = rows[start : start + chunk]
         d = cdist(coords[block], coords)
@@ -291,15 +286,3 @@ def save_diagnostics_csv(path, diag: SeparationDiagnostics) -> None:
         for c, m in zip(diag.class_ids, diag.maximizer_indices):
             fh.write(f"maximizer_class_{int(c)},{int(m)}\n")
 
-
-__all__ = [
-    "ClusteringResult",
-    "SeparationDiagnostics",
-    "propagate_labels",
-    "estimate_num_clusters",
-    "lund",
-    "lund_k",
-    "lund_purity_curve",
-    "separation_diagnostics",
-    "save_diagnostics_csv",
-]

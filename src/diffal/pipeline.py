@@ -19,7 +19,7 @@ from functools import partial
 import numpy as np
 
 from .cache import DiffusionCache, NearestDenser, params_key, points_hash
-from .dataset import DataError, PointCloud, _DataValueError
+from .dataset import DataError, PointCloud, _DataValueError, _check_count
 from .geometry import (
     DensityEstimate,
     DiffusionEmbedding,
@@ -54,9 +54,8 @@ class DiffusionModel:
     density: DensityEstimate
     sigma: float
     # cached_rho(search, t=t): the cache's nearest-denser entry at t, or
-    # search() saved under it; None for a model built without a cache_dir
-    cached_rho: Callable[..., NearestDenser] | None = field(
-        default=None, repr=False, compare=False)
+    # search() saved under it; just search() for a model without a cache_dir
+    cached_rho: Callable[..., NearestDenser] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -88,7 +87,7 @@ class DiffusionModel:
         def search():
             return NearestDenser(*rho(emb, self.density))
 
-        found = search() if self.cached_rho is None else self.cached_rho(search, t=float(t))
+        found = self.cached_rho(search, t=float(t))
         return emb, mode_scores(self.density, found.rho, found.nearest_higher)
 
 
@@ -118,6 +117,7 @@ def build_model(
         k = default_num_neighbors(n)
     if num_eigs is None:
         num_eigs = default_num_eigs(n)
+    _check_count("num_eigs", num_eigs, n)
 
     cache = DiffusionCache(cache_dir) if cache_dir is not None else None
     points_state = points_hash(cloud.points) if cache is not None else None
@@ -160,20 +160,27 @@ def build_model(
         spectrum=spectrum,
         density=density,
         sigma=float(sigma),
-        cached_rho=None if cache is None else partial(
+        cached_rho=partial(
             cached, "rho", (n,), k=k, sigma=float(sigma), sigma0=float(sigma0),
             num_eigs=num_eigs, solver=EIGENSOLVER_VERSION),
     )
 
 
 def log_t_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Diffusion times 10**x for x = start, start+step, ..., stop."""
+    """Diffusion times 10**x for x = start, start+step, ..., stop.  A grid whose top
+    time overflows, or too long to allocate, is a ValueError before any time is built."""
     if not np.all(np.isfinite([start, stop, step])):
         raise ValueError(f"time grid bounds and step must be finite, got {start}:{stop}:{step}")
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    count = int(round((stop - start) / step)) + 1
-    if count < 1:
+    last = np.rint((stop - start) / step)  # index of the top time; inf for a tiny step
+    if last < 0:
         raise ValueError(f"empty time grid: stop {stop} is below start {start}")
-    exponents = start + step * np.arange(count)
+    with np.errstate(over="ignore"):
+        if np.isinf(np.power(10.0, start + step * last)):
+            raise ValueError(f"time grid {start}:{stop}:{step} reaches a time that overflows")
+    try:
+        exponents = start + step * np.arange(int(last) + 1)
+    except (MemoryError, ValueError):  # numpy: "Maximum allowed size exceeded"
+        raise ValueError(f"time grid {start}:{stop}:{step} has too many points") from None
     return np.power(10.0, exponents)

@@ -267,6 +267,30 @@ class TestBench:
         rows = [l.split(",") for l in Path(res).read_text().strip().splitlines()[1:]]
         assert [(r[1], r[2]) for r in rows] == [("cbal", "200")]
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"methods": "land", "budgets": ""}, "budgets list is empty"),
+        ({"methods": "land-random", "budgets": ","}, "budgets list is empty"),
+        ({"methods": "lund,cbal", "budgets": ""}, "budgets list is empty"),
+        ({"methods": "", "budgets": "3"}, "methods list is empty"),
+        ({"methods": ",", "budgets": "3"}, "methods list is empty"),
+    ])
+    def test_nothing_to_run_is_a_config_error_before_any_work(
+            self, tmp_path, capsys, monkeypatch, extra, message):
+        builds = _spy_builds(monkeypatch)
+        out = tmp_path / "o"
+        code = run_cli("bench", "--config", str(self._config(tmp_path, **extra)), "--out", str(out))
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+        assert builds == []
+        assert not out.exists()
+
+    def test_lund_alone_needs_no_budgets(self, tmp_path):
+        cfg = parse_config(self._config(tmp_path, methods="lund", budgets=""))
+        res, _ = run_experiment(cfg, tmp_path / "out")
+        rows = Path(res).read_text().strip().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["lund"]
+
 
 class TestConfigAndExitCodes:
     def test_unknown_key_rejected(self, tmp_path):
@@ -945,3 +969,62 @@ def test_infinite_sigma_still_labels(small_dataset, tmp_path):
     assert run_cli("lund", "--data", str(points), "--truth", str(labels), "--sigma", "inf",
                    "--out", str(out)) == 0
     assert da.load_labels(out).shape == (120,)
+
+
+@pytest.mark.parametrize("command, message", [
+    (["land", "--truth", "T", "--budget", "0"], "got budget=0, n=120"),
+    (["land", "--truth", "T", "--budget", "121"], "got budget=121, n=120"),
+    (["land", "--budget", "2"], "batch mode needs --truth"),
+    (["lund", "--num-clusters", "121"], "got num_clusters=121, n=120"),
+    (["lund", "--num-clusters", "0"], "got num_clusters=0, n=120"),
+    (["lund", "--num-eigs", "0"], "got num_eigs=0, n=120"),
+])
+def test_count_and_truth_flag_errors_fail_before_the_graph(
+        small_dataset, tmp_path, capsys, monkeypatch, command, message):
+    points, labels, _, _ = small_dataset
+    builds = _spy_builds(monkeypatch)
+    out = tmp_path / "out.txt"
+    argv = [str(labels) if arg == "T" else arg for arg in command]
+    code = run_cli(*argv, "--data", str(points), "--t", "100", "--out", str(out))
+    err = capsys.readouterr().err.strip()
+    assert code == 2
+    assert err.startswith("config error:") and message in err and "\n" not in err
+    assert builds == []
+    assert not out.exists()
+
+
+def test_num_eigs_is_checked_before_the_neighbor_search(monkeypatch):
+    pipeline = sys.modules["diffal.pipeline"]
+    monkeypatch.setattr(pipeline, "knn_search", lambda *args: pytest.fail("searched"))
+    cloud = da.PointCloud(np.random.default_rng(5).normal(size=(30, 2)))
+    with pytest.raises(ValueError, match="got num_eigs=31, n=30"):
+        da.build_model(cloud, num_eigs=31)
+
+
+# the top time of the first two overflows; the last has 10**16 + 1 points,
+# which no machine can allocate, so numpy refuses at once
+@pytest.mark.parametrize("grid, message", [
+    ("300:320:10", "reaches a time that overflows"),
+    ("0:1e9:1e-9", "reaches a time that overflows"),
+    ("0:1:1e-16", "has too many points"),
+])
+def test_t_grid_that_overflows_or_cannot_be_allocated_fails_before_the_graph(
+        small_dataset, tmp_path, capsys, monkeypatch, grid, message):
+    points, _, _, _ = small_dataset
+    builds = _spy_builds(monkeypatch)
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan-t", "--data", str(points), "--t-grid", grid, "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error: time grid ") and err.endswith(message)
+    assert "\n" not in err
+    assert builds == []
+    assert not out.exists()
+
+
+def test_bad_flag_is_a_one_line_config_error(small_dataset, tmp_path, capsys):
+    points, _, _, _ = small_dataset
+    with pytest.raises(SystemExit) as exc:
+        run_cli("land", "--data", str(points), "--budget", "x", "--out", str(tmp_path / "o"))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "config error: diffal land: argument --budget: invalid int value: 'x'\n"
