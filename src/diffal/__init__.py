@@ -32,8 +32,8 @@ from .geometry import (
     diffusion_embed,
     kde,
     mode_scores,
+    nearest_denser_points,
     pairwise_diffusion_distances,
-    rho,
 )
 from .graph import (
     MarkovChain,

@@ -10,7 +10,7 @@ or whose arrays do not have the shapes the caller expects from n, k and
 num_eigs.  Spectrum keys carry the eigensolver version, so spectra cached
 by an older solver are recomputed.
 
-A nearest-denser ("rho") entry holds geometry.rho's two arrays at one
+A "rho" entry holds geometry.nearest_denser_points's two arrays at one
 diffusion time, 16 bytes per point.  Its key hashes the points, k, sigma,
 sigma0, num_eigs, the eigensolver version and repr(float(t)), so an
 np.float64 grid time and the same --t typed as a number share one entry.
@@ -33,7 +33,7 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class NearestDenser:
-    """geometry.rho's (rho, nearest_higher) at one diffusion time."""
+    """geometry.nearest_denser_points's (rho, nearest_higher) at one diffusion time."""
 
     rho: np.ndarray
     nearest_higher: np.ndarray

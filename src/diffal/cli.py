@@ -35,6 +35,7 @@ from .dataset import (
     load_labels,
     save_csv,
     save_labels,
+    validate_labels,
 )
 from .geometry import DiffusionEmbedding, ModeScores, save_mode_scores_csv
 from .graph import NumericalError
@@ -283,6 +284,8 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
     cloud, truth, dataset_name = resolve_dataset(cfg)
     if truth is None:
         raise ConfigError("file datasets need a `truth` labels path")
+    if set(methods) - {"lund"}:
+        validate_labels(truth, complete=True)  # the oracle's rule
     # each method's own argument checks, in run order, before any graph work
     for method in methods:
         for budget in budgets:
@@ -494,9 +497,9 @@ def cmd_land(args) -> int:
     _check_count("budget", args.budget, cloud.n)
     if truth is None and not args.interactive:
         raise ConfigError("batch mode needs --truth (or use --interactive)")
-    model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
     oracle = (InteractiveOracle(args.budget, points=cloud.points) if args.interactive
               else GroundTruthOracle(truth, args.budget))
+    model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
     result = land(scores, model.density, emb, args.budget, oracle)
     save_labels(args.out, result.labels)
     print(f"t={t:.6g} queried={result.queries_used} wrote {args.out}")

@@ -1,10 +1,11 @@
 """Diffusion embeddings, diffusion distances, kernel density, and mode scores.
 
-At diffusion time t every point maps to the row
-(lambda_1^t psi_1(x), ..., lambda_M^t psi_M(x)); Euclidean distance between
-rows is the (truncated) diffusion distance D_t.  Each point's density p and
-its diffusion distance rho to the nearest higher-density point combine into
-the mode score p * rho, whose maximizers seed clusters downstream.
+At diffusion time t every point maps to the row (|lambda_l|^t psi_l(x))_l,
+whose Euclidean distances are the (truncated) diffusion distance
+D_t(x, y)^2 = sum_l (lambda_l^2)^t (psi_l(x) - psi_l(y))^2 at every t >= 0.
+Each point's density p and its diffusion distance rho to the nearest
+higher-density point combine into the mode score p * rho, whose maximizers
+seed clusters downstream.
 
 Density comparisons use the strict total order
     y is denser than x  iff  p(y) > p(x), or p(y) == p(x) and y < x,
@@ -21,7 +22,6 @@ import numpy as np
 from .dataset import PointCloud
 from .graph import (
     NeighborLists,
-    NumericalError,
     SpectralDecomposition,
     _exact_search,
     _tree_proposer,
@@ -33,7 +33,7 @@ from .graph import (
 class DiffusionEmbedding:
     """Coordinates whose Euclidean distances are truncated diffusion distances."""
 
-    coords: np.ndarray  # (n, M), column l = lambda_l^t * psi_l
+    coords: np.ndarray  # (n, M), column l = |lambda_l|^t * psi_l
     t: float
 
     @property
@@ -74,21 +74,18 @@ class ModeScores:
 
 
 def eigenvalue_powers(eigenvalues: np.ndarray, t: float) -> np.ndarray:
-    """lambda^t for each eigenvalue, one float power for every t (ones at t = 0, exact
-    signed powers at integer t); a negative eigenvalue at non-integer t has none."""
+    """|lambda|^t, the embedding's column weights: their squares are the
+    (lambda^2)^t of D_t^2 = sum_l (lambda_l^2)^t dpsi_l^2.  At integer t a
+    column then differs from lambda^t psi in sign only, which changes no
+    distance, and for lambda < 0 in the last bit (numpy's power of a
+    negative base takes another path)."""
     if not 0 <= t < np.inf:
         raise ValueError(f"diffusion time must be finite and non-negative, got {t}")
-    if not float(t).is_integer() and np.any(eigenvalues < 0):
-        bad = float(eigenvalues[eigenvalues < 0][0])
-        raise NumericalError(
-            f"non-integer diffusion time t={t} with a negative retained "
-            f"eigenvalue {bad}; use integer t or drop the negative eigenpairs"
-        )
-    return eigenvalues**t
+    return np.abs(eigenvalues) ** t
 
 
 def diffusion_embed(spec: SpectralDecomposition, t: float) -> DiffusionEmbedding:
-    """Scale each eigenvector column by lambda^t."""
+    """Scale each eigenvector column by |lambda|^t."""
     weights = eigenvalue_powers(spec.eigenvalues, t)
     # C-contiguous so every distance computation reduces in the same order
     coords = np.ascontiguousarray(spec.basis * weights[None, :])
@@ -178,16 +175,6 @@ def nearest_denser_points(
     dist_out[imax] = float(np.sqrt(np.einsum("ij,ij->i", diff, diff)).max())
     idx_out[imax] = imax
     return dist_out, idx_out
-
-
-def rho(emb: DiffusionEmbedding, dens: DensityEstimate) -> tuple[np.ndarray, np.ndarray]:
-    """Diffusion distance to the nearest strictly-denser point.
-
-    Returns (rho values, nearest_higher indices); the global density
-    maximizer carries its maximum distance to any point and points to
-    itself.
-    """
-    return nearest_denser_points(emb, dens)
 
 
 def mode_scores(

@@ -224,18 +224,20 @@ def separation_diagnostics(
     Exact over all point pairs by default (chunked, O(n^2) time).  For large
     n a row sample (drawn with seed 0) can be requested; the resulting d_in
     is then a lower bound and d_btw an upper bound, which is recorded as-is.
+    Points with truth 0 are left out, as in every metric.
     """
-    truth = validate_labels(truth, n=dens.n, complete=True)
+    truth, labeled = _labeled(truth, n=dens.n)
+    index = np.flatnonzero(labeled)
+    truth, coords, p = truth[index], emb.coords[index], dens.p[index]
     classes = np.unique(truth)
-    coords = emb.coords
     n = coords.shape[0]
 
     maximizers = np.empty(len(classes), dtype=np.int64)
     for ci, c in enumerate(classes):
         # classwise density peak; members ascend, so ties go to the smaller index
         members = np.flatnonzero(truth == c)
-        maximizers[ci] = members[global_density_maximizer(dens.p[members])]
-    mode_density = dens.p[maximizers]
+        maximizers[ci] = members[global_density_maximizer(p[members])]
+    mode_density = p[maximizers]
     max_mode = float(mode_density.max())
     min_mode = float(mode_density.min())
 
@@ -266,7 +268,7 @@ def separation_diagnostics(
         d_in=d_in,
         d_btw=d_btw,
         class_ids=classes,
-        maximizer_indices=maximizers,
+        maximizer_indices=index[maximizers],
         max_mode_density=max_mode,
         min_mode_density=min_mode,
         lund_condition_holds=bool(lund_ok),

@@ -3,11 +3,12 @@
 The expensive, t-independent work (neighbor search, kernel, Markov chain,
 spectral decomposition, density estimate) is bundled in a DiffusionModel;
 per-t embeddings and mode scores are derived from it cheaply, so t sweeps
-reuse one decomposition.  A time at which every non-Perron weight lambda^t
-underflows to 0 carries no geometry: it fails before the nearest-denser
-search, with the same zero-mode-score NumericalError the cluster count
-would raise.  A model built with a cache_dir also caches each scored t's
-nearest-denser search, the costly part of scores_at.
+reuse one decomposition.  Every t >= 0 has an embedding (column weights
+|lambda|^t); only a t at which every non-Perron weight underflows to 0
+carries no geometry: it fails before the nearest-denser search, with the
+same zero-mode-score NumericalError the cluster count would raise.  A model
+built with a cache_dir also caches each scored t's nearest-denser search,
+the costly part of scores_at.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .geometry import (
     eigenvalue_powers,
     kde,
     mode_scores,
-    rho,
+    nearest_denser_points,
 )
 from .graph import (
     EIGENSOLVER_VERSION,
@@ -64,7 +65,7 @@ class DiffusionModel:
     def scores_at(self, t: float) -> tuple[DiffusionEmbedding, ModeScores]:
         """Embedding and mode scores at diffusion time t.
 
-        When the spectrum holds more than one pair and every lambda_l^t with
+        When the spectrum holds more than one pair and every |lambda_l|^t with
         l >= 2 underflows to exactly 0, the embedding is lambda_1^t psi_1,
         constant up to rounding, so every mode score is 0: that raises
         NumericalError ("zero mode score") before the search.  A 0 weight
@@ -85,7 +86,7 @@ class DiffusionModel:
         emb = diffusion_embed(self.spectrum, t)
 
         def search():
-            return NearestDenser(*rho(emb, self.density))
+            return NearestDenser(*nearest_denser_points(emb, self.density))
 
         found = self.cached_rho(search, t=float(t))
         return emb, mode_scores(self.density, found.rho, found.nearest_higher)

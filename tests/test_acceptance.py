@@ -126,7 +126,7 @@ def test_criterion_3_nearest_denser_matches_quadratic_scan():
             coords, p = emb.coords, model.density.p
         emb = da.DiffusionEmbedding(coords=np.asarray(coords, dtype=float), t=1.0)
         dens = da.DensityEstimate(p=np.asarray(p, dtype=float), k_density=1, sigma0=1.0)
-        got_rho, got_nh = da.rho(emb, dens)
+        got_rho, got_nh = da.nearest_denser_points(emb, dens)
         exp_rho, exp_nh = brute_force_nearest_denser(coords, p)
         assert np.array_equal(got_rho, exp_rho), f"trial {trial}: rho values differ"
         assert np.array_equal(got_nh, exp_nh), f"trial {trial}: argmin points differ"

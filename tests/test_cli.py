@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import diffal as da
-from diffal import cli, geometry
+from diffal import cli, geometry, pipeline
 from diffal.cli import (AUTO_T_GRID, ConfigError, coerce_config, main, parse_config,
                         run_experiment)
 
@@ -341,21 +341,23 @@ class TestConfigAndExitCodes:
         cfg = parse_config(path)
         assert cfg["dataset"] == "geometric"
 
-    def test_numerical_failure_exit_code(self, tmp_path, capsys):
-        # a star graph keeps a negative eigenvalue, which has no real
-        # power at the non-integer time t = 1.5
+    def test_negative_eigenvalue_at_non_integer_t_labels(self, tmp_path, capsys):
+        # a star graph keeps a negative eigenvalue; its column weight at the
+        # non-integer time t = 1.5 is |lambda|^1.5 (exit 4 is covered by
+        # TestUnderflowedTime)
         angles = 2 * np.pi * np.arange(5) / 5
         star = np.vstack([[0.0, 0.0], np.c_[np.cos(angles), np.sin(angles)]])
         points = tmp_path / "star.csv"
         da.save_csv(points, da.PointCloud(star))
+        model = da.build_model(da.PointCloud(star), k=1, sigma=100.0)
+        assert np.any(model.spectrum.eigenvalues < 0)
         out = tmp_path / "labels.txt"
         assert run_cli(
             "lund", "--data", str(points), "--k", "1", "--sigma", "100",
             "--t", "1.5", "--out", str(out),
-        ) == 4
-        err = capsys.readouterr().err.strip()
-        assert err.startswith("numerical failure:") and "\n" not in err
-        assert not out.exists()
+        ) == 0
+        assert capsys.readouterr().err == ""
+        assert da.load_labels(out).shape == (6,)
 
     def test_short_truth_is_a_data_error(self, small_dataset, tmp_path, capsys):
         points, _, _, truth = small_dataset
@@ -742,14 +744,7 @@ def test_auto_t_is_the_median_of_the_scan_rows_that_match(tmp_path):
 def test_auto_t_searches_once_per_scan_time(tmp_path, monkeypatch):
     """`bench --t auto` labels with the scan's own mode scores at the chosen
     t, so it runs one nearest-denser search per scan time and none after."""
-    searches = []
-    real = geometry.nearest_denser_points
-
-    def spy(emb, dens):
-        searches.append(emb.t)
-        return real(emb, dens)
-
-    monkeypatch.setattr(geometry, "nearest_denser_points", spy)
+    searches = _spy_searches(monkeypatch)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("dataset = gaussians\ndata_seed = 11\nsizes = 50,50,50\nstddev = 0.5\n"
                    "means = 0,0;6,0;3,5\nbudgets = 3\nmethods = land\n")
@@ -806,14 +801,15 @@ class TestUnderflowedTime:
 
 
 def _spy_searches(monkeypatch):
+    """The diffusion time of every nearest-denser search scores_at runs."""
     searches = []
-    real = geometry.nearest_denser_points
+    real = pipeline.nearest_denser_points
 
     def spy(emb, dens):
         searches.append(emb.t)
         return real(emb, dens)
 
-    monkeypatch.setattr(geometry, "nearest_denser_points", spy)
+    monkeypatch.setattr(pipeline, "nearest_denser_points", spy)
     return searches
 
 
@@ -830,18 +826,50 @@ def test_auto_t_searches_only_where_a_non_perron_weight_survives(
         connected_dataset, tmp_path, monkeypatch):
     points, labels = connected_dataset
     model = da.build_model(_connected_cloud()[0])
-    live = []
-    for t in da.log_t_grid(*AUTO_T_GRID):
-        try:
-            if np.any(_non_perron_weights(model, t)):
-                live.append(float(t))
-        except da.NumericalError:  # a negative eigenvalue at non-integer t
-            pass
+    live = [float(t) for t in da.log_t_grid(*AUTO_T_GRID)
+            if np.any(_non_perron_weights(model, t))]
     assert live  # and t = 1e6, the grid's last, underflows (the fixture)
     searches = _spy_searches(monkeypatch)
     assert run_cli("lund", "--data", str(points), "--truth", str(labels), "--t", "auto",
                    "--out", str(tmp_path / "labels.txt")) == 0
     assert searches == live
+
+
+def _three_blobs_39():
+    """`gen-data --dataset gaussians --sizes 13,13,13 --seed 0`: a kernel graph
+    that keeps negative eigenvalues."""
+    return da.gen_gaussians([[0.0, 0.0], [5.0, 0.0], [2.5, 4.33]], 0.5, [13, 13, 13], seed=0)
+
+
+def test_auto_t_searches_half_integer_times_despite_a_negative_eigenvalue(
+        tmp_path, monkeypatch):
+    cloud, truth = _three_blobs_39()
+    points, labels = tmp_path / "points.csv", tmp_path / "truth.txt"
+    da.save_csv(points, cloud)
+    da.save_labels(labels, truth)
+    lam = da.build_model(cloud).spectrum.eigenvalues
+    assert np.any(lam < 0)
+    live = [float(t) for t in da.log_t_grid(*AUTO_T_GRID) if np.any(np.abs(lam[1:]) ** t)]
+    assert any(not np.log10(t).is_integer() for t in live)
+    searches = _spy_searches(monkeypatch)
+    assert run_cli("lund", "--data", str(points), "--truth", str(labels), "--t", "auto",
+                   "--out", str(tmp_path / "labels.txt")) == 0
+    # no grid time reads k_hat = 3 here, so the middle time is scored once more
+    assert searches == live + [float(da.log_t_grid(*AUTO_T_GRID)[6])]
+
+
+def test_scan_t_truth_with_unlabeled_points(tmp_path):
+    cloud, truth = _three_blobs_39()
+    truth[0] = 0
+    points, labels = tmp_path / "points.csv", tmp_path / "truth.txt"
+    da.save_csv(points, cloud)
+    da.save_labels(labels, truth)
+    out = tmp_path / "scan.csv"
+    assert run_cli("scan-t", "--data", str(points), "--truth", str(labels),
+                   "--t-grid", "0:3:0.5", "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 7
+    assert all(row[1] and row[2] and row[3] for row in rows)  # k_hat, d_in, d_btw
 
 
 def test_disconnected_cloud_scores_at_a_late_time():
@@ -876,20 +904,42 @@ def _spy_builds(monkeypatch):
 def test_truth_without_a_positive_label_fails_before_any_graph_work(
         small_dataset, tmp_path, capsys, monkeypatch, command):
     points, _, cloud, _ = small_dataset
-    zeros = tmp_path / "zeros.txt"
-    da.save_labels(zeros, np.zeros(cloud.n, dtype=np.int64))
+    err = _truth_data_error(points, np.zeros(cloud.n, dtype=np.int64), command,
+                            tmp_path, capsys, monkeypatch)
+    assert err.startswith("data error:") and "no evaluable points" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["land", "--budget", "5"],
+    ["bench", "--methods", "lund,land", "--budgets", "3"],
+    ["bench", "--methods", "land-random", "--budgets", "3"],
+    ["bench", "--methods", "cbal", "--budgets", "3"],
+])
+def test_oracle_truth_with_unlabeled_points_fails_before_any_graph_work(
+        small_dataset, tmp_path, capsys, monkeypatch, command):
+    points, _, _, truth = small_dataset
+    truth = truth.copy()
+    truth[4] = 0
+    err = _truth_data_error(points, truth, command, tmp_path, capsys, monkeypatch)
+    assert err == "data error: label vector must be fully labeled; index 4 is 0\n"
+
+
+def _truth_data_error(points, truth, command, tmp_path, capsys, monkeypatch):
+    """Run command with this truth; assert exit 3 with no model built and no
+    file written, and return stderr."""
+    labels = tmp_path / "labels.txt"
+    da.save_labels(labels, truth)
     builds = _spy_builds(monkeypatch)
     out = tmp_path / "o"
     out.mkdir()
     source = (["--dataset"] if command[0] == "bench" else ["--data"]) + [str(points)]
     target = out if command[0] == "bench" else out / "out.txt"
-    code = run_cli(command[0], *source, "--truth", str(zeros), "--t", "100",
+    code = run_cli(command[0], *source, "--truth", str(labels), "--t", "100",
                    *command[1:], "--out", str(target))
-    err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("data error:") and "no evaluable points" in err
     assert builds == []
     assert list(out.iterdir()) == []
+    return capsys.readouterr().err
 
 
 def test_purity_replays_every_level_above_the_roots_rank(small_dataset, tmp_path, monkeypatch):

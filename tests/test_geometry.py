@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import diffal as da
+from diffal.cli import AUTO_T_GRID
 from diffal.geometry import (
     density_descending_order,
     eigenvalue_powers,
@@ -48,16 +51,20 @@ class TestDiffusionEmbed:
             stationary=np.array([0.5, 0.5]),
         )
         emb = da.diffusion_embed(spec, 2.0)
-        assert emb.coords[0, 1] == pytest.approx(0.25)  # (-0.5)^2, signed power
+        assert emb.coords[0, 1] == pytest.approx(0.25)  # (-0.5)^2
 
-    def test_non_integer_t_with_negative_eigenvalue_errors(self):
+    @pytest.mark.parametrize("t", [0.0, 1.0, 2.5, 3.0, 10**0.5])
+    def test_negative_eigenvalue_weighs_its_modulus_to_the_t(self, t):
         spec = da.SpectralDecomposition(
             eigenvalues=np.array([1.0, -0.5]),
-            basis=np.ones((2, 2)),
+            basis=np.array([[1.0, 1.0], [1.0, -1.0]]),
             stationary=np.array([0.5, 0.5]),
         )
-        with pytest.raises(ValueError, match="negative"):
-            da.diffusion_embed(spec, 2.5)
+        assert eigenvalue_powers(spec.eigenvalues, t)[1] == 0.5**t
+        emb = da.diffusion_embed(spec, t)
+        assert np.array_equal(emb.coords, spec.basis * [1.0, 0.5**t])
+        # D_t^2 = (lambda^2)^t (psi(0) - psi(1))^2 needs no sign of lambda
+        assert da.diffusion_distance(emb, 0, 1) == pytest.approx(np.sqrt(0.25**t * 4.0))
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
@@ -163,7 +170,7 @@ class TestNearestDenser:
         p = rng.uniform(0.5, 2.0, size=60)
         emb = da.DiffusionEmbedding(coords=coords, t=1.0)
         dens = da.DensityEstimate(p=p, k_density=1, sigma0=1.0)
-        got_rho, got_nh = da.rho(emb, dens)
+        got_rho, got_nh = da.nearest_denser_points(emb, dens)
         exp_rho, exp_nh = brute_force_nearest_denser(coords, p)
         assert np.array_equal(got_rho, exp_rho)
         assert np.array_equal(got_nh, exp_nh)
@@ -175,7 +182,7 @@ class TestNearestDenser:
         p = np.round(rng.uniform(0.5, 2.0, size=80), 1)
         emb = da.DiffusionEmbedding(coords=coords, t=1.0)
         dens = da.DensityEstimate(p=p, k_density=1, sigma0=1.0)
-        got_rho, got_nh = da.rho(emb, dens)
+        got_rho, got_nh = da.nearest_denser_points(emb, dens)
         exp_rho, exp_nh = brute_force_nearest_denser(coords, p)
         assert np.array_equal(got_rho, exp_rho)
         assert np.array_equal(got_nh, exp_nh)
@@ -185,13 +192,13 @@ class TestNearestDenser:
         p = np.array([3.0, 2.0, 1.0])
         emb = da.DiffusionEmbedding(coords=coords, t=1.0)
         dens = da.DensityEstimate(p=p, k_density=1, sigma0=1.0)
-        rho_values, nh = da.rho(emb, dens)
+        rho_values, nh = da.nearest_denser_points(emb, dens)
         assert rho_values[0] == 4.0 and nh[0] == 0
 
     def test_two_points(self):
         emb = da.DiffusionEmbedding(coords=np.array([[0.0], [2.0]]), t=1.0)
         dens = da.DensityEstimate(p=np.array([1.0, 5.0]), k_density=1, sigma0=1.0)
-        rho_values, nh = da.rho(emb, dens)
+        rho_values, nh = da.nearest_denser_points(emb, dens)
         assert rho_values[0] == 2.0 and nh[0] == 1  # lower-density point
         assert rho_values[1] == 2.0 and nh[1] == 1  # maximizer, self
 
@@ -201,7 +208,7 @@ class TestNearestDenser:
         p = rng.uniform(size=120)
         emb = da.DiffusionEmbedding(coords=coords, t=1.0)
         dens = da.DensityEstimate(p=p, k_density=1, sigma0=1.0)
-        _, nh = da.rho(emb, dens)
+        _, nh = da.nearest_denser_points(emb, dens)
         imax = global_density_maximizer(p)
         for start in range(120):
             seen = set()
@@ -223,7 +230,7 @@ class TestNearestDenser:
         # embedding; here we check kde + rho on a fixed embedding
         coords = rng.normal(size=(70, 3))
         emb = da.DiffusionEmbedding(coords=coords, t=1.0)
-        rho1, _ = da.rho(emb, dens)
+        rho1, _ = da.nearest_denser_points(emb, dens)
         score1 = dens.p * rho1
 
         perm = rng.permutation(70)
@@ -232,7 +239,7 @@ class TestNearestDenser:
         cloud_p = da.PointCloud(pts[perm])
         dens_p = da.kde(cloud_p, k, sigma0)
         emb_p = da.DiffusionEmbedding(coords=coords[perm], t=1.0)
-        rho_p, _ = da.rho(emb_p, dens_p)
+        rho_p, _ = da.nearest_denser_points(emb_p, dens_p)
         assert np.allclose(dens_p.p, dens.p[perm], atol=1e-12)
         assert np.allclose(rho_p, rho1[perm], atol=1e-12)
         assert np.allclose(dens_p.p * rho_p, score1[perm], atol=1e-12)
@@ -279,3 +286,53 @@ class TestDensityOrderHelpers:
         p = np.array([1.0, 3.0, 3.0, 0.5])
         assert density_descending_order(p).tolist() == [1, 2, 0, 3]
         assert global_density_maximizer(p) == 1
+
+
+AUTO_GRID = [float(t) for t in da.log_t_grid(*AUTO_T_GRID)]
+
+
+@st.composite
+def small_models(draw):
+    """Models of 8 to 40 points in one to three Gaussian blobs, 1-3 dims;
+    such small kernel graphs often keep negative eigenvalues."""
+    n, dim = draw(st.integers(8, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.uniform(-5.0, 5.0, size=(draw(st.integers(1, 3)), dim))
+    points = centers[rng.integers(len(centers), size=n)] + rng.normal(scale=0.5, size=(n, dim))
+    return da.build_model(da.PointCloud(points))
+
+
+class TestDiffusionDistanceAtEveryTime:
+    """Column weights |lambda|^t: every t >= 0 has an embedding, and its
+    distances are D_t^2 = sum_l (lambda_l^2)^t (psi_l(x) - psi_l(y))^2."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_models(), st.one_of(st.sampled_from(AUTO_GRID), st.floats(0.0, 50.0)))
+    def test_scores_and_distances_at_any_time(self, model, t):
+        try:
+            model.scores_at(t)
+        except da.NumericalError as exc:
+            assert "zero mode score" in str(exc)
+        spec = model.spectrum
+        emb = da.diffusion_embed(spec, t)
+        dpsi = spec.basis[:, None, :] - spec.basis[None, :, :]
+        want = np.sqrt(np.einsum("ijl,l->ij", dpsi**2, (spec.eigenvalues**2) ** t))
+        got = da.pairwise_diffusion_distances(emb)
+        # a coordinate difference rounds at the scale of the coordinates
+        assert np.all(np.abs(got - want) <= 1e-12 * (want + np.abs(emb.coords).max()))
+
+    def test_non_negative_spectrum_is_bit_equal_to_plain_powers(self):
+        cloud, _ = da.gen_gaussians([[0.0, 0.0], [5.0, 0.0], [2.5, 4.33]], 0.5,
+                                    [40, 40, 40], seed=0)
+        model = da.build_model(cloud)
+        spec = model.spectrum
+        assert np.all(spec.eigenvalues >= 0)
+        for t in [0.0, 1.0, 10**0.5, 3.0, 10**2.5, 1e4]:
+            coords = np.ascontiguousarray(spec.basis * (spec.eigenvalues**t)[None, :])
+            emb, scores = model.scores_at(t)
+            assert np.array_equal(emb.coords, coords)
+            ref = da.DiffusionEmbedding(coords=coords, t=t)
+            rho_values, nh = nearest_denser_points(ref, model.density)
+            want = da.mode_scores(model.density, rho_values, nh)
+            for name in ("rho", "score", "order", "nearest_higher"):
+                assert np.array_equal(getattr(scores, name), getattr(want, name))

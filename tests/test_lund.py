@@ -145,7 +145,7 @@ class TestLund:
         # single flat ratio and estimates one cluster
         emb = toy_embedding([[0.0], [2.0]])
         dens = toy_density([1.0, 1.0])
-        rho_values, nh = da.rho(emb, dens)
+        rho_values, nh = da.nearest_denser_points(emb, dens)
         scores = da.mode_scores(dens, rho_values, nh)
         assert da.estimate_num_clusters(scores) == 1
         result = da.lund(scores, dens, emb)
@@ -167,7 +167,7 @@ class TestLund:
 class TestLundK:
     def test_k_one_single_label(self):
         emb, dens, _ = two_cluster_setup(seed=55)
-        rho_values, nh = da.rho(emb, dens)
+        rho_values, nh = da.nearest_denser_points(emb, dens)
         scores = da.mode_scores(dens, rho_values, nh)
         result = da.lund_k(scores, dens, emb, 1)
         assert np.all(result.labels == 1)
@@ -175,14 +175,14 @@ class TestLundK:
     def test_k_equals_n_all_distinct(self):
         emb = toy_embedding(np.arange(6, dtype=float)[:, None])
         dens = toy_density(np.linspace(2, 1, 6))
-        rho_values, nh = da.rho(emb, dens)
+        rho_values, nh = da.nearest_denser_points(emb, dens)
         scores = da.mode_scores(dens, rho_values, nh)
         result = da.lund_k(scores, dens, emb, 6)
         assert sorted(result.labels.tolist()) == [1, 2, 3, 4, 5, 6]
 
     def test_k_out_of_range(self):
         emb, dens, _ = two_cluster_setup(seed=56)
-        rho_values, nh = da.rho(emb, dens)
+        rho_values, nh = da.nearest_denser_points(emb, dens)
         scores = da.mode_scores(dens, rho_values, nh)
         with pytest.raises(ValueError):
             da.lund_k(scores, dens, emb, 0)
@@ -245,12 +245,21 @@ class TestSeparationDiagnostics:
         assert diag.max_mode_density == 5.0
         assert diag.min_mode_density == 4.0
 
-    def test_incomplete_truth_rejected(self):
+    def test_unlabeled_points_are_left_out(self):
         emb, dens, truth = two_cluster_setup(seed=60)
         truth = truth.copy()
-        truth[0] = 0
-        with pytest.raises(Exception):
-            da.separation_diagnostics(emb, dens, truth)
+        truth[[0, 150]] = 0  # class one's density peak and a class-two point
+        diag = da.separation_diagnostics(emb, dens, truth)
+        keep = truth > 0
+        want = da.separation_diagnostics(toy_embedding(emb.coords[keep]),
+                                         toy_density(dens.p[keep]), truth[keep])
+        assert (diag.d_in, diag.d_btw) == (want.d_in, want.d_btw)
+        assert diag.maximizer_indices.tolist() == np.flatnonzero(keep)[
+            want.maximizer_indices].tolist()
+        assert 0 not in diag.maximizer_indices.tolist()
+        assert diag.max_mode_density == 4.0
+        with pytest.raises(da.DataError, match="no evaluable points"):
+            da.separation_diagnostics(emb, dens, np.zeros_like(truth))
 
     def test_row_sampling_includes_maximizers(self):
         emb, dens, truth = two_cluster_setup(seed=61)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffal as da
-from diffal import geometry
+from diffal import pipeline
 from diffal.cli import main
 
 
@@ -23,13 +23,13 @@ from diffal.cli import main
 def searches(monkeypatch):
     """The diffusion time of every nearest-denser search, in call order."""
     calls = []
-    real = geometry.nearest_denser_points
+    real = pipeline.nearest_denser_points
 
     def spy(emb, dens):
         calls.append(emb.t)
         return real(emb, dens)
 
-    monkeypatch.setattr(geometry, "nearest_denser_points", spy)
+    monkeypatch.setattr(pipeline, "nearest_denser_points", spy)
     return calls
 
 
