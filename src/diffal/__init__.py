@@ -55,7 +55,6 @@ from .land import (
     BudgetExceededError,
     GroundTruthOracle,
     InteractiveOracle,
-    ground_truth_oracle,
     land,
 )
 from .lund import (

@@ -210,11 +210,12 @@ def land_random(
     budget: int,
     oracle,
     seed: int,
-    nearest_higher: np.ndarray | None = None,
+    nearest_higher: np.ndarray,
 ) -> ActiveResult:
     """Active labeling with uniformly random query points instead of the
     mode-score maximizers; everything after the queries is unchanged,
-    including the partial query trail on a refused query."""
+    including the partial query trail on a refused query.  nearest_higher
+    is the forest that propagates the answers, ModeScores.nearest_higher."""
     _check_count("budget", budget, dens.n)
     rng = np.random.default_rng(seed)
     targets = rng.choice(dens.n, size=budget, replace=False).astype(np.int64)

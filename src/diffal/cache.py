@@ -71,7 +71,7 @@ class DiffusionCache:
     def _load(self, kind: str, key: str, cls, shapes: dict):
         """The entry as a cls built from the arrays named in shapes, or None
         when it is missing, stale, unreadable, lacks one of those arrays or
-        holds one whose shape is not shapes[name] (None: any shape)."""
+        holds one whose shape is not shapes[name]."""
         path = self._path(kind, key)
         if not os.path.exists(path):
             return None
@@ -82,8 +82,7 @@ class DiffusionCache:
                 arrays = {name: data[name] for name in shapes}
         except (zipfile.BadZipFile, OSError, ValueError, KeyError):
             return None
-        if any(want is not None and arrays[name].shape != want
-               for name, want in shapes.items()):
+        if any(arrays[name].shape != want for name, want in shapes.items()):
             return None
         return cls(**arrays)
 
@@ -101,29 +100,27 @@ class DiffusionCache:
             os.unlink(tmp)
             raise
 
-    def load_neighbors(self, key: str, shape=None) -> NeighborLists | None:
-        """The cached lists, or None; shape is the expected (n, k), if known."""
-        shape = None if shape is None else tuple(shape)
-        return self._load("nb", key, NeighborLists, dict.fromkeys(("indices", "distances"), shape))
+    def load_neighbors(self, key: str, shape) -> NeighborLists | None:
+        """The cached lists, or None; shape is the expected (n, k)."""
+        return self._load("nb", key, NeighborLists,
+                          dict.fromkeys(("indices", "distances"), tuple(shape)))
 
     def save_neighbors(self, key: str, nb: NeighborLists) -> None:
         self._save("nb", key, nb)
 
-    def load_spectrum(self, key: str, shape=None) -> SpectralDecomposition | None:
-        """The cached spectrum, or None; shape is the expected (n, num_eigs), if known."""
-        n, num_eigs = (None, None) if shape is None else shape
-        want = {"eigenvalues": (num_eigs,), "basis": (n, num_eigs), "stationary": (n,)}
+    def load_spectrum(self, key: str, shape) -> SpectralDecomposition | None:
+        """The cached spectrum, or None; shape is the expected (n, num_eigs)."""
+        n, num_eigs = shape
         return self._load("eig", key, SpectralDecomposition,
-                          dict.fromkeys(want) if shape is None else want)
+                          {"eigenvalues": (num_eigs,), "basis": (n, num_eigs), "stationary": (n,)})
 
     def save_spectrum(self, key: str, spec: SpectralDecomposition) -> None:
         self._save("eig", key, spec)
 
-    def load_rho(self, key: str, shape=None) -> NearestDenser | None:
-        """The cached nearest-denser result, or None; shape is the expected (n,), if known."""
-        shape = None if shape is None else tuple(shape)
+    def load_rho(self, key: str, shape) -> NearestDenser | None:
+        """The cached nearest-denser result, or None; shape is the expected (n,)."""
         return self._load("rho", key, NearestDenser,
-                          dict.fromkeys(("rho", "nearest_higher"), shape))
+                          dict.fromkeys(("rho", "nearest_higher"), tuple(shape)))
 
     def save_rho(self, key: str, entry: NearestDenser) -> None:
         self._save("rho", key, entry)

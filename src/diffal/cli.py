@@ -41,7 +41,7 @@ from .geometry import DiffusionEmbedding, ModeScores, save_mode_scores_csv
 from .graph import NumericalError
 from .land import BudgetExceededError, GroundTruthOracle, InteractiveOracle, land
 from .lund import estimate_num_clusters, lund, lund_k, lund_purity_curve, separation_diagnostics
-from .metrics import accuracy_scores, align_labels
+from .metrics import _labeled, accuracy_scores, align_labels
 from .pipeline import DiffusionModel, build_model, log_t_grid
 
 
@@ -167,11 +167,7 @@ def resolve_dataset(cfg: dict, args=None) -> tuple[PointCloud, np.ndarray | None
                               standardize=getattr(args, "standardize", False))
     else:
         cloud = load_csv(path)
-    truth = load_labels(cfg["truth"]) if "truth" in cfg else None
-    if truth is not None and truth.shape[0] != cloud.n:
-        raise DataError(f"truth has {truth.shape[0]} labels for {cloud.n} points")
-    if truth is not None and not np.any(truth > 0):
-        raise DataError("truth has no evaluable points: every label is 0")
+    truth = _labeled(load_labels(cfg["truth"]), n=cloud.n)[0] if "truth" in cfg else None
     return cloud, truth, os.path.basename(str(path))
 
 
@@ -205,15 +201,21 @@ def _num_classes(truth: np.ndarray) -> int:
 
 
 def _scan(model: DiffusionModel, grid):
-    """Yield (t, (embedding, scores, k̂)) for each t of grid, in order, or
-    (t, error) for a t whose scoring raises NumericalError."""
+    """Yield (t, scored, k̂) for each t of grid, in order: scored is
+    (embedding, scores) and k̂ the estimated cluster count, or each the
+    NumericalError that computing it raised (both the same one when the
+    scoring raised)."""
     for t in grid:
         try:
-            emb, scores = model.scores_at(t)
-            step = emb, scores, estimate_num_clusters(scores)
+            scored = model.scores_at(t)
         except NumericalError as exc:
-            step = exc
-        yield t, step
+            yield t, exc, exc
+            continue
+        try:
+            k_hat = estimate_num_clusters(scored[1])
+        except NumericalError as exc:
+            k_hat = exc
+        yield t, scored, k_hat
 
 
 def choose_time(model: DiffusionModel,
@@ -223,17 +225,23 @@ def choose_time(model: DiffusionModel,
     Scans a log10 grid and picks the median time whose estimated cluster
     count equals the number of classes in truth (only that count is read
     from the labels), with the scan's embedding and scores at it.  When no
-    grid time matches, the middle grid time is scored.
+    grid time matches, it takes the scan's scores at the middle grid time,
+    or raises the NumericalError that scoring that time raised.
     """
     num_classes = _num_classes(truth)
     grid = log_t_grid(*AUTO_T_GRID)
-    matches = [(t, *step[:2]) for t, step in _scan(model, grid)
-               if not isinstance(step, NumericalError) and step[2] == num_classes]
+    matches = []
+    for i, (t, scored, k_hat) in enumerate(_scan(model, grid)):
+        if i == len(grid) // 2:
+            middle = float(t), scored
+        if not isinstance(k_hat, NumericalError) and k_hat == num_classes:
+            matches.append((float(t), *scored))
     if matches:
-        t, emb, scores = matches[len(matches) // 2]
-        return float(t), emb, scores
-    t = float(grid[len(grid) // 2])
-    return (t, *model.scores_at(t))
+        return matches[len(matches) // 2]
+    t, scored = middle
+    if isinstance(scored, NumericalError):
+        raise scored
+    return (t, *scored)
 
 
 def _prepare_scores(cfg: dict, cloud: PointCloud, truth: np.ndarray | None):
@@ -367,13 +375,13 @@ def scan_t(cfg: dict, cloud: PointCloud, truth: np.ndarray | None,
     with open(out_path, "w", encoding="utf-8") as fh:
         top_cols = ",".join(f"score_{i}" for i in range(1, 11))
         fh.write(f"t_log10,k_hat,d_in,d_btw,{top_cols}\n")
-        for t, step in _scan(model, grid):
+        for t, scored, k_hat in _scan(model, grid):
             log10_t = float(np.log10(t))
-            if isinstance(step, NumericalError):
-                warnings.warn(f"scan skipped t=10^{log10_t:g}: {step}", stacklevel=2)
+            if isinstance(k_hat, NumericalError):
+                warnings.warn(f"scan skipped t=10^{log10_t:g}: {k_hat}", stacklevel=2)
                 fh.write(f"{log10_t!r},,,," + "," * 9 + "\n")
                 continue
-            emb, scores, k_hat = step
+            emb, scores = scored
             d_in = d_btw = ""
             if truth is not None:
                 diag = separation_diagnostics(emb, model.density, truth)

@@ -19,14 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PointCloud
-from .graph import (
-    NeighborLists,
-    SpectralDecomposition,
-    _exact_search,
-    _tree_proposer,
-    knn_search,
-)
+from .graph import NeighborLists, SpectralDecomposition, _exact_search, _tree_proposer
 
 
 @dataclass(frozen=True)
@@ -104,26 +97,17 @@ def pairwise_diffusion_distances(emb: DiffusionEmbedding) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def kde(
-    cloud: PointCloud,
-    k_density: int,
-    sigma0: float,
-    neighbors: NeighborLists | None = None,
-) -> DensityEstimate:
+def kde(neighbors: NeighborLists, k_density: int, sigma0: float) -> DensityEstimate:
     """p(x) = sum over the k_density nearest neighbors of exp(-dist^2/sigma0^2).
 
-    The point itself is excluded; no normalization is applied (downstream
-    use only depends on relative values).  Pass precomputed neighbor lists
-    with at least k_density columns to skip the search.
+    Reads the first k_density columns of the neighbor lists, so the point
+    itself is excluded; no normalization is applied (downstream use only
+    depends on relative values).
     """
     if not sigma0 > 0:
         raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    if not 1 <= k_density < cloud.n:
-        raise ValueError(f"need 1 <= k_density < n, got k_density={k_density}, n={cloud.n}")
-    if neighbors is None:
-        neighbors = knn_search(cloud, k_density)
-    elif neighbors.k < k_density:
-        raise ValueError(f"neighbor lists have k={neighbors.k} < k_density={k_density}")
+    if not 1 <= k_density <= neighbors.k:
+        raise ValueError(f"need 1 <= k_density <= k, got k_density={k_density}, k={neighbors.k}")
     dist = neighbors.distances[:, :k_density]
     p = np.exp(-((dist / sigma0) ** 2)).sum(axis=1)
     return DensityEstimate(p=p, k_density=int(k_density), sigma0=float(sigma0))

@@ -443,15 +443,11 @@ def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
     )
 
 
-def truncate_small_eigenvalues(
-    spec: SpectralDecomposition, min_magnitude: float = 1e-8
-) -> SpectralDecomposition:
-    """Drop trailing eigenpairs with |eigenvalue| below min_magnitude.
-
-    Keeps at least the leading eigenpair.  The default 1e-8 is the pipeline's
-    floor: below it an eigenpair carries no usable geometry at any positive t.
-    """
-    keep = max(1, int(np.sum(np.abs(spec.eigenvalues) >= min_magnitude)))
+def truncate_small_eigenvalues(spec: SpectralDecomposition) -> SpectralDecomposition:
+    """Drop trailing eigenpairs with |eigenvalue| below 1e-8, the pipeline's
+    floor: below it an eigenpair carries no usable geometry at any positive
+    t.  Keeps at least the leading eigenpair."""
+    keep = max(1, int(np.sum(np.abs(spec.eigenvalues) >= 1e-8)))
     if keep == spec.num_eigs:
         return spec
     return SpectralDecomposition(

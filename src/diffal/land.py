@@ -9,7 +9,7 @@ oracle's answers.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,8 @@ class _MemoOracle:
     """
 
     def __init__(self, budget: int):
+        if budget < 0:
+            raise ValueError(f"budget must be non-negative, got {budget}")
         self.budget = int(budget)
         self._answers: dict[int, int] = {}
 
@@ -59,16 +61,10 @@ class GroundTruthOracle(_MemoOracle):
 
     def __init__(self, truth: np.ndarray, budget: int):
         self.truth = validate_labels(truth, complete=True)
-        if budget < 0:
-            raise ValueError(f"budget must be non-negative, got {budget}")
         super().__init__(budget)
 
     def _ask(self, index: int) -> int:
         return int(self.truth[index])
-
-
-def ground_truth_oracle(truth: np.ndarray, budget: int) -> GroundTruthOracle:
-    return GroundTruthOracle(truth, budget)
 
 
 class InteractiveOracle(_MemoOracle):
@@ -111,7 +107,7 @@ class ActiveResult:
     labels: np.ndarray
     queried_indices: np.ndarray
     queries_used: int
-    queried_labels: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    queried_labels: np.ndarray
 
     def observed_classes(self) -> np.ndarray:
         return np.unique(self.queried_labels)
@@ -122,7 +118,7 @@ def _query_and_propagate(
     dens: DensityEstimate,
     emb: DiffusionEmbedding,
     oracle,
-    nearest_higher: np.ndarray | None,
+    nearest_higher: np.ndarray,
 ) -> ActiveResult:
     """Ask the oracle about each target in turn, then propagate the answers.
 

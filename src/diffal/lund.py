@@ -17,8 +17,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .dataset import _check_count, _check_levels, validate_labels
-from .geometry import (DensityEstimate, DiffusionEmbedding, ModeScores, global_density_maximizer,
-                       nearest_denser_points)
+from .geometry import DensityEstimate, DiffusionEmbedding, ModeScores, global_density_maximizer
 from .graph import _BLOCK_ELEMENTS, NumericalError
 from .metrics import _ClassCounts, _labeled, purity
 
@@ -56,7 +55,7 @@ def propagate_labels(
     seeds: np.ndarray,
     dens: DensityEstimate,
     emb: DiffusionEmbedding,
-    nearest_higher: np.ndarray | None = None,
+    nearest_higher: np.ndarray,
 ) -> np.ndarray:
     """Complete a partial labeling along the nearest-denser forest.
 
@@ -65,7 +64,7 @@ def propagate_labels(
     decreasing-density sweep).  An unseeded global density maximizer, the
     root, takes the nearest seed's label by (distance, index), with a warning.
 
-    nearest_higher (e.g. from ModeScores) skips the nearest-denser search.
+    nearest_higher is the forest's parent map, ModeScores.nearest_higher.
     It must be a forest: a wrong length, an index outside 0..n-1 or a cycle
     that no seed breaks is a ValueError.
     """
@@ -76,8 +75,6 @@ def propagate_labels(
         raise ValueError(f"embedding has {emb.n} rows but density has {dens.n}")
     if not np.any(labels == 0):
         return labels
-    if nearest_higher is None:
-        _, nearest_higher = nearest_denser_points(emb, dens)
     n = dens.n
     up = _checked_forest(nearest_higher, n)
 
@@ -213,18 +210,12 @@ def lund(
     return lund_k(scores, dens, emb, estimate_num_clusters(scores))
 
 
-def separation_diagnostics(
-    emb: DiffusionEmbedding,
-    dens: DensityEstimate,
-    truth: np.ndarray,
-    sample_rows: int | None = None,
-) -> SeparationDiagnostics:
+def separation_diagnostics(emb: DiffusionEmbedding, dens: DensityEstimate,
+                           truth: np.ndarray) -> SeparationDiagnostics:
     """Max within-class and min between-class diffusion distances.
 
-    Exact over all point pairs by default (chunked, O(n^2) time).  For large
-    n a row sample (drawn with seed 0) can be requested; the resulting d_in
-    is then a lower bound and d_btw an upper bound, which is recorded as-is.
-    Points with truth 0 are left out, as in every metric.
+    Exact over all point pairs (chunked, O(n^2) time).  Points with truth 0
+    are left out, as in every metric.
     """
     truth, labeled = _labeled(truth, n=dens.n)
     index = np.flatnonzero(labeled)
@@ -241,17 +232,11 @@ def separation_diagnostics(
     max_mode = float(mode_density.max())
     min_mode = float(mode_density.min())
 
-    if sample_rows is not None and sample_rows < n:
-        rng = np.random.default_rng(0)
-        rows = np.union1d(rng.choice(n, size=sample_rows, replace=False), maximizers)
-    else:
-        rows = np.arange(n)
-
     d_in = 0.0
     d_btw = math.inf
     chunk = max(1, int(_BLOCK_ELEMENTS // max(1, n)))
-    for start in range(0, len(rows), chunk):
-        block = rows[start : start + chunk]
+    for start in range(0, n, chunk):
+        block = slice(start, start + chunk)
         d = cdist(coords[block], coords)
         same = truth[block][:, None] == truth[None, :]
         if np.any(same):

@@ -154,7 +154,7 @@ def build_model(
     )
     spectrum = truncate_small_eigenvalues(spectrum)
 
-    density = kde(cloud, k, sigma0, neighbors=neighbors)
+    density = kde(neighbors, k, sigma0)
     return DiffusionModel(
         cloud=cloud,
         neighbors=neighbors,

@@ -52,7 +52,7 @@ def test_criterion_1_perfect_recovery_on_separated_gaussians():
             if diag.land_condition_holds and peaks <= top3:
                 eligible += 1
                 result = da.land(
-                    scores, model.density, emb, 3, da.ground_truth_oracle(truth, 3)
+                    scores, model.density, emb, 3, da.GroundTruthOracle(truth, 3)
                 )
                 oa = da.overall_accuracy(result.labels, truth)
                 if oa != 1.0:
@@ -165,7 +165,7 @@ def test_criterion_4_two_scale_ambiguity_and_active_disambiguation():
         for t in times:
             emb, scores = model.scores_at(t)
             result = da.land(
-                scores, model.density, emb, 4, da.ground_truth_oracle(truth, 4)
+                scores, model.density, emb, 4, da.GroundTruthOracle(truth, 4)
             )
             best = max(best, da.overall_accuracy(result.labels, truth))
         return best
@@ -216,7 +216,7 @@ def test_criterion_5_budget_curves_beat_baselines():
             budget: da.overall_accuracy(
                 da.land(
                     scores, model.density, emb, budget,
-                    da.ground_truth_oracle(truth, budget),
+                    da.GroundTruthOracle(truth, budget),
                 ).labels,
                 truth,
             )
@@ -231,7 +231,7 @@ def test_criterion_5_budget_curves_beat_baselines():
                     da.overall_accuracy(
                         da.land_random(
                             model.density, emb, 10,
-                            da.ground_truth_oracle(truth, 10), seed=s,
+                            da.GroundTruthOracle(truth, 10), seed=s,
                             nearest_higher=scores.nearest_higher,
                         ).labels,
                         truth,
@@ -246,7 +246,7 @@ def test_criterion_5_budget_curves_beat_baselines():
                 [
                     da.overall_accuracy(
                         da.cbal(
-                            dend, 10, da.ground_truth_oracle(truth, 10), seed=s
+                            dend, 10, da.GroundTruthOracle(truth, 10), seed=s
                         ).labels,
                         truth,
                     )
@@ -330,7 +330,7 @@ def test_criterion_8_runtime_scaling_gate():
         model = da.build_model(cloud)
         emb, scores = model.scores_at(1000.0)
         result = da.land(
-            scores, model.density, emb, 3, da.ground_truth_oracle(truth, 3)
+            scores, model.density, emb, 3, da.GroundTruthOracle(truth, 3)
         )
         elapsed = time.perf_counter() - start
         assert np.all(result.labels == 1)

@@ -202,7 +202,8 @@ class TestLandRandom:
         model, emb, scores, truth = self._setup()
         n = len(truth)
         result = da.land_random(
-            model.density, emb, n, da.ground_truth_oracle(truth, n), seed=0
+            model.density, emb, n, da.GroundTruthOracle(truth, n), seed=0,
+            nearest_higher=scores.nearest_higher,
         )
         assert np.array_equal(result.labels, truth)
 
@@ -210,7 +211,7 @@ class TestLandRandom:
         model, emb, scores, truth = self._setup()
         runs = [
             da.land_random(
-                model.density, emb, 10, da.ground_truth_oracle(truth, 10), seed=5,
+                model.density, emb, 10, da.GroundTruthOracle(truth, 10), seed=5,
                 nearest_higher=scores.nearest_higher,
             )
             for _ in range(2)
@@ -220,22 +221,26 @@ class TestLandRandom:
 
     def test_different_seed_different_queries(self):
         model, emb, scores, truth = self._setup()
-        a = da.land_random(model.density, emb, 10, da.ground_truth_oracle(truth, 10), seed=1)
-        b = da.land_random(model.density, emb, 10, da.ground_truth_oracle(truth, 10), seed=2)
+        a = da.land_random(model.density, emb, 10, da.GroundTruthOracle(truth, 10), seed=1,
+                           nearest_higher=scores.nearest_higher)
+        b = da.land_random(model.density, emb, 10, da.GroundTruthOracle(truth, 10), seed=2,
+                           nearest_higher=scores.nearest_higher)
         assert not np.array_equal(a.queried_indices, b.queried_indices)
 
     def test_budget_respected(self):
         model, emb, scores, truth = self._setup()
-        oracle = da.ground_truth_oracle(truth, 7)
-        result = da.land_random(model.density, emb, 7, oracle, seed=3)
+        oracle = da.GroundTruthOracle(truth, 7)
+        result = da.land_random(model.density, emb, 7, oracle, seed=3,
+                                nearest_higher=scores.nearest_higher)
         assert oracle.queries_used == 7
         assert len(np.unique(result.queried_indices)) == 7
 
     def test_budget_exhaustion_aborts_with_partial_trail(self):
         model, emb, scores, truth = self._setup()
-        oracle = da.ground_truth_oracle(truth, 2)
+        oracle = da.GroundTruthOracle(truth, 2)
         with pytest.raises(BudgetExceededError) as excinfo:
-            da.land_random(model.density, emb, 5, oracle, seed=4)
+            da.land_random(model.density, emb, 5, oracle, seed=4,
+                           nearest_higher=scores.nearest_higher)
         trail = excinfo.value.queried_indices
         assert len(trail) == 2
         partial = excinfo.value.partial_labels
@@ -249,7 +254,8 @@ class TestLandRandom:
 
         model, emb, scores, truth = self._setup()
         with pytest.raises(ValueError, match="invalid class id 0"):
-            da.land_random(model.density, emb, 3, ZeroOracle(), seed=4)
+            da.land_random(model.density, emb, 3, ZeroOracle(), seed=4,
+                           nearest_higher=scores.nearest_higher)
 
 
 class TestCbal:
@@ -264,7 +270,7 @@ class TestCbal:
         # the root descends; each child then needs one more query and
         # freezes pure, spending exactly the budget of 4
         dend, truth = self._pure_pairs()
-        oracle = da.ground_truth_oracle(truth, 4)
+        oracle = da.GroundTruthOracle(truth, 4)
         result = da.cbal(dend, 4, oracle, purity_threshold=0.9, sample_size=2, seed=1)
         assert da.overall_accuracy(result.labels, truth) == 1.0
         assert result.queries_used == 4
@@ -274,7 +280,7 @@ class TestCbal:
         # seed 0 samples {2, 3} (one class); the root freezes immediately
         dend, truth = self._pure_pairs()
         result = da.cbal(
-            dend, 4, da.ground_truth_oracle(truth, 4),
+            dend, 4, da.GroundTruthOracle(truth, 4),
             purity_threshold=0.9, sample_size=2, seed=0,
         )
         assert result.queries_used == 2
@@ -285,7 +291,7 @@ class TestCbal:
         # seed 1 again: mixed root sample; with threshold 1.0 the root must
         # descend rather than freeze, and the children finish pure
         result = da.cbal(
-            dend, 4, da.ground_truth_oracle(truth, 4),
+            dend, 4, da.GroundTruthOracle(truth, 4),
             purity_threshold=1.0, sample_size=2, seed=1,
         )
         assert da.overall_accuracy(result.labels, truth) == 1.0
@@ -296,7 +302,7 @@ class TestCbal:
         )
         dend = da.linkage(cloud, "average")
         runs = [
-            da.cbal(dend, 9, da.ground_truth_oracle(truth, 9), seed=13)
+            da.cbal(dend, 9, da.GroundTruthOracle(truth, 9), seed=13)
             for _ in range(2)
         ]
         assert np.array_equal(runs[0].queried_indices, runs[1].queried_indices)
@@ -308,7 +314,7 @@ class TestCbal:
         )
         dend = da.linkage(cloud, "average")
         for budget in (1, 3, 8, 20):
-            oracle = da.ground_truth_oracle(truth, budget)
+            oracle = da.GroundTruthOracle(truth, budget)
             result = da.cbal(dend, budget, oracle, seed=7)
             assert result.queries_used <= budget
             assert len(np.unique(result.queried_indices)) == result.queries_used
@@ -317,7 +323,7 @@ class TestCbal:
     def test_mid_node_exhaustion_still_labels_everything(self):
         dend, truth = self._pure_pairs()
         result = da.cbal(
-            dend, 1, da.ground_truth_oracle(truth, 1),
+            dend, 1, da.GroundTruthOracle(truth, 1),
             purity_threshold=0.9, sample_size=2, seed=1,
         )
         assert result.queries_used == 1
@@ -325,7 +331,7 @@ class TestCbal:
 
     def test_bad_params(self):
         dend, truth = self._pure_pairs()
-        oracle = da.ground_truth_oracle(truth, 5)
+        oracle = da.GroundTruthOracle(truth, 5)
         with pytest.raises(ValueError):
             da.cbal(dend, 0, oracle)
         with pytest.raises(ValueError):

@@ -854,8 +854,41 @@ def test_auto_t_searches_half_integer_times_despite_a_negative_eigenvalue(
     searches = _spy_searches(monkeypatch)
     assert run_cli("lund", "--data", str(points), "--truth", str(labels), "--t", "auto",
                    "--out", str(tmp_path / "labels.txt")) == 0
-    # no grid time reads k_hat = 3 here, so the middle time is scored once more
-    assert searches == live + [float(da.log_t_grid(*AUTO_T_GRID)[6])]
+    # no grid time reads k_hat = 3 here, so the scan's own middle time is
+    # taken: one search per live grid time, and no second one at t = 1000
+    assert len(live) == 7 and searches == live
+
+
+def test_auto_t_raises_the_scans_own_error_at_an_unscorable_middle_time():
+    class Unscorable:
+        def __init__(self):
+            self.calls = []
+
+        def scores_at(self, t):
+            self.calls.append(float(t))
+            raise da.NumericalError(f"no scores at t={t:g}")
+
+    model = Unscorable()
+    with pytest.raises(da.NumericalError, match="no scores at t=1000$"):
+        cli.choose_time(model, np.array([1, 2]))
+    assert model.calls == [float(t) for t in da.log_t_grid(*AUTO_T_GRID)]
+
+
+def test_auto_t_takes_the_scans_scores_at_the_middle_time_when_no_count_is_read():
+    """Zero mode scores leave k_hat unread at every time; the scan's own
+    scores at the middle time are returned, with no second scoring."""
+    zeros = da.ModeScores(rho=np.zeros(4), score=np.zeros(4), order=np.arange(4),
+                          nearest_higher=np.zeros(4, dtype=np.int64))
+    calls = []
+
+    class ZeroScores:
+        def scores_at(self, t):
+            calls.append(float(t))
+            return f"embedding at {t:g}", zeros
+
+    t, emb, scores = cli.choose_time(ZeroScores(), np.array([1, 2]))
+    assert (t, emb) == (1000.0, "embedding at 1000") and scores is zeros
+    assert calls == [float(t) for t in da.log_t_grid(*AUTO_T_GRID)]
 
 
 def test_scan_t_truth_with_unlabeled_points(tmp_path):
@@ -907,6 +940,19 @@ def test_truth_without_a_positive_label_fails_before_any_graph_work(
     err = _truth_data_error(points, np.zeros(cloud.n, dtype=np.int64), command,
                             tmp_path, capsys, monkeypatch)
     assert err.startswith("data error:") and "no evaluable points" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["purity"],
+    ["lund"],
+    ["land", "--budget", "5"],
+    ["bench", "--methods", "lund", "--budgets", "3"],
+])
+def test_truth_of_another_length_fails_before_any_graph_work(
+        small_dataset, tmp_path, capsys, monkeypatch, command):
+    points, _, cloud, truth = small_dataset
+    err = _truth_data_error(points, truth[:-1], command, tmp_path, capsys, monkeypatch)
+    assert err == f"data error: label vector has length {cloud.n - 1}, expected {cloud.n}\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -130,20 +130,20 @@ class TestDiffusionDistance:
 class TestKde:
     def test_duplicates_give_count(self):
         pts = np.vstack([np.zeros((4, 2)), [[5.0, 5.0]], [[6.0, 6.0]]])
-        dens = da.kde(da.PointCloud(pts), k_density=3, sigma0=1.0)
+        dens = da.kde(da.knn_search(da.PointCloud(pts), 3), k_density=3, sigma0=1.0)
         assert dens.p[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_isolated_point_low_density(self):
         rng = np.random.default_rng(36)
         pts = np.vstack([rng.normal(size=(20, 2)) * 0.1, [[50.0, 50.0]]])
-        dens = da.kde(da.PointCloud(pts), k_density=5, sigma0=1.0)
+        dens = da.kde(da.knn_search(da.PointCloud(pts), 5), k_density=5, sigma0=1.0)
         assert dens.p[-1] < dens.p[:-1].min()
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(37)
         pts = rng.normal(size=(40, 3))
         k, sigma0 = 6, 0.8
-        dens = da.kde(da.PointCloud(pts), k, sigma0)
+        dens = da.kde(da.knn_search(da.PointCloud(pts), k), k, sigma0)
         for i in range(40):
             cand = np.array([j for j in range(40) if j != i])
             d = np.sort(np.sqrt(((pts[cand] - pts[i]) ** 2).sum(axis=-1)))[:k]
@@ -152,14 +152,15 @@ class TestKde:
 
     def test_bad_params(self):
         cloud = da.PointCloud(np.random.default_rng(38).normal(size=(10, 2)))
+        neighbors = da.knn_search(cloud, 9)
         with pytest.raises(ValueError):
-            da.kde(cloud, 3, 0.0)
+            da.kde(neighbors, 3, 0.0)
         with pytest.raises(ValueError):
-            da.kde(cloud, 10, 1.0)
+            da.kde(neighbors, 10, 1.0)
 
     def test_range_invariant(self):
         rng = np.random.default_rng(39)
-        dens = da.kde(da.PointCloud(rng.normal(size=(50, 2))), 7, 0.5)
+        dens = da.kde(da.knn_search(da.PointCloud(rng.normal(size=(50, 2))), 7), 7, 0.5)
         assert np.all(dens.p > 0) and np.all(dens.p <= 7)
 
 
@@ -225,7 +226,7 @@ class TestNearestDenser:
         pts = rng.normal(size=(70, 2))
         cloud = da.PointCloud(pts)
         k, sigma0 = 5, 0.7
-        dens = da.kde(cloud, k, sigma0)
+        dens = da.kde(da.knn_search(cloud, k), k, sigma0)
         # note: equivariance of the full pipeline additionally needs the
         # embedding; here we check kde + rho on a fixed embedding
         coords = rng.normal(size=(70, 3))
@@ -237,7 +238,7 @@ class TestNearestDenser:
         # a permutation with no density ties keeps the selection identical
         assert len(np.unique(dens.p)) == 70
         cloud_p = da.PointCloud(pts[perm])
-        dens_p = da.kde(cloud_p, k, sigma0)
+        dens_p = da.kde(da.knn_search(cloud_p, k), k, sigma0)
         emb_p = da.DiffusionEmbedding(coords=coords[perm], t=1.0)
         rho_p, _ = da.nearest_denser_points(emb_p, dens_p)
         assert np.allclose(dens_p.p, dens.p[perm], atol=1e-12)

@@ -15,6 +15,11 @@ def toy_density(p):
     return da.DensityEstimate(p=np.asarray(p, dtype=float), k_density=1, sigma0=1.0)
 
 
+def forest(emb, dens):
+    """The nearest-denser forest that propagate_labels follows."""
+    return da.nearest_denser_points(emb, dens)[1]
+
+
 def two_cluster_setup(seed=50, n_per=100, gap=50.0):
     """Embedding with two tight, far-apart groups; densities peak per group."""
     rng = np.random.default_rng(seed)
@@ -33,7 +38,7 @@ class TestPropagateLabels:
         emb, dens, _ = two_cluster_setup()
         seeds = np.zeros(dens.n, dtype=int)
         seeds[0] = 7
-        labels = da.propagate_labels(seeds, dens, emb)
+        labels = da.propagate_labels(seeds, dens, emb, forest(emb, dens))
         assert np.all(labels == 7)
 
     def test_two_separated_clusters(self):
@@ -43,12 +48,12 @@ class TestPropagateLabels:
         seeds = np.zeros(dens.n, dtype=int)
         seeds[0] = 1
         seeds[100] = 2
-        labels = da.propagate_labels(seeds, dens, emb)
+        labels = da.propagate_labels(seeds, dens, emb, forest(emb, dens))
         assert np.array_equal(labels, truth)
 
     def test_complete_seeds_returned_unchanged(self):
         emb, dens, truth = two_cluster_setup()
-        labels = da.propagate_labels(truth, dens, emb)
+        labels = da.propagate_labels(truth, dens, emb, forest(emb, dens))
         assert np.array_equal(labels, truth)
 
     def test_idempotent(self):
@@ -56,8 +61,8 @@ class TestPropagateLabels:
         seeds = np.zeros(dens.n, dtype=int)
         seeds[0] = 1
         seeds[150] = 2
-        once = da.propagate_labels(seeds, dens, emb)
-        twice = da.propagate_labels(once, dens, emb)
+        once = da.propagate_labels(seeds, dens, emb, forest(emb, dens))
+        twice = da.propagate_labels(once, dens, emb, forest(emb, dens))
         assert np.array_equal(once, twice)
 
     def test_unseeded_maximizer_falls_back_with_warning(self):
@@ -65,23 +70,23 @@ class TestPropagateLabels:
         dens = toy_density([5.0, 1.0, 2.0])
         seeds = np.array([0, 0, 3])
         with pytest.warns(UserWarning, match="unseeded"):
-            labels = da.propagate_labels(seeds, dens, emb)
+            labels = da.propagate_labels(seeds, dens, emb, forest(emb, dens))
         assert np.all(labels == 3)
 
     def test_label_permutation_equivariance(self):
         emb, dens, _ = two_cluster_setup(seed=51)
         seeds = np.zeros(dens.n, dtype=int)
         seeds[0], seeds[100] = 1, 2
-        base = da.propagate_labels(seeds, dens, emb)
+        base = da.propagate_labels(seeds, dens, emb, forest(emb, dens))
         swapped = np.zeros(dens.n, dtype=int)
         swapped[0], swapped[100] = 2, 1
-        out = da.propagate_labels(swapped, dens, emb)
+        out = da.propagate_labels(swapped, dens, emb, forest(emb, dens))
         assert np.array_equal(out, np.where(base == 1, 2, 1))
 
     def test_requires_a_seed(self):
         emb, dens, _ = two_cluster_setup()
         with pytest.raises(ValueError, match="seed"):
-            da.propagate_labels(np.zeros(dens.n, dtype=int), dens, emb)
+            da.propagate_labels(np.zeros(dens.n, dtype=int), dens, emb, forest(emb, dens))
 
 
 class TestEstimateNumClusters:
@@ -261,12 +266,6 @@ class TestSeparationDiagnostics:
         with pytest.raises(da.DataError, match="no evaluable points"):
             da.separation_diagnostics(emb, dens, np.zeros_like(truth))
 
-    def test_row_sampling_includes_maximizers(self):
-        emb, dens, truth = two_cluster_setup(seed=61)
-        diag = da.separation_diagnostics(emb, dens, truth, sample_rows=20)
-        assert diag.d_btw > 0.0
-        assert diag.maximizer_indices.tolist() == [0, 100]
-
     def test_csv(self, tmp_path):
         emb, dens, truth = two_cluster_setup(seed=62)
         diag = da.separation_diagnostics(emb, dens, truth)
@@ -299,7 +298,7 @@ class TestPerfectRecoveryGuarantee:
                     int(i) for i in diag.maximizer_indices
                 ) <= top3:
                     result = da.land(
-                        scores, model.density, emb, 3, da.ground_truth_oracle(truth, 3)
+                        scores, model.density, emb, 3, da.GroundTruthOracle(truth, 3)
                     )
                     assert da.overall_accuracy(result.labels, truth) == 1.0
                     checked += 1
