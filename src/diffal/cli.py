@@ -654,9 +654,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each library warning as one stderr line, without the file path and the
+    # source line of Python's default display
+    shown, warnings.formatwarning = warnings.formatwarning, _warning_line
     try:
         return args.func(args)
     except NumericalError as exc:  # a ValueError, so it is caught first
@@ -669,6 +676,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = shown
 
 
 if __name__ == "__main__":

@@ -10,8 +10,14 @@ for small n; shift-invert Lanczos where the kNN graph grows like a plane
 (two-hop growth of the sparsity pattern at most 4), because only there its
 sparse LU stays sparse; plain Lanczos everywhere else, as on hyperspectral
 clouds in hundreds of dimensions, and where a bottom probe cannot prove the
-shift-invert pairs the top ones by modulus.  Every returned eigenpair is
-checked by its residual, and a wrong one raises NumericalError.
+shift-invert pairs the top ones by modulus.  Shift-invert runs on one
+symmetric-mode LU with diagonal pivots, an LDL^T factor, and a second such
+factor counts the eigenvalues above the smallest returned one by Sylvester's
+law of inertia: pairs the Lanczos run missed, such as copies of 1 on
+numerically separate components, are recovered with the found ones projected
+out, and a gap that recovery cannot close raises NumericalError.  Plain
+Lanczos has no such count.  Every returned eigenpair is checked by its
+residual, and a wrong one raises NumericalError.
 
 Both exact neighbor searches, kNN here and the nearest-denser search in
 geometry, run on one engine, _exact_search.  A candidate generator proposes
@@ -40,11 +46,6 @@ import scipy.sparse.linalg as splinalg
 from scipy.spatial import cKDTree
 
 from .dataset import PointCloud, _check_count
-
-# Relative safety margin when deciding whether a kd-tree candidate set is
-# provably complete; dominates the ~1e-14 arithmetic disagreement between
-# the tree's distances and numpy's.
-_BOUNDARY_MARGIN = 1e-9
 
 # Rows per block of a neighbor search are chosen so the (rows, candidates,
 # dimension) difference array holds about this many elements (32 MiB).
@@ -169,16 +170,44 @@ def _exact_search(coords, propose, rows, k, m, accept):
 def _tree_proposer(coords):
     """Candidates from a kd-tree: the m nearest by the tree's distances.
 
-    The bound is the m-th of them less the boundary margin, which covers
-    the disagreement between the tree's arithmetic and numpy's.  The tree
-    splits each cell at the midpoint of its widest side, slid to the
-    nearest point when one side would be empty (balanced_tree=False).
+    The tree splits each cell at the midpoint of its widest side, slid to
+    the nearest point when one side would be empty (balanced_tree=False).
+    The bound is the m-th of the tree's distances, t_m, times (1 - margin),
+    so it lies below the numpy distance of every point outside the
+    candidates.  With u = eps/2 the unit roundoff, D = dim, and h the number
+    of splits on a path from the root to a leaf:
+      - numpy and the tree each sum D rounded squares of rounded
+        differences, within (D + 2) u of the exact squared distance (Higham,
+        Accuracy and Stability of Numerical Algorithms, section 3.1); the
+        square root halves that and rounds once, so each distance is within
+        (D + 4) u / 2 of the exact one, and the two within (D + 4) u of each
+        other.  A point the tree measured and did not keep is at least t_m
+        away by the tree's arithmetic, so at least t_m (1 - (D + 4) u) by
+        numpy's;
+      - the tree skips a cell whose squared distance to the query, as the
+        tree computes it, exceeds its current m-th squared distance, which
+        is at least t_m^2.  It builds that cell distance from D side terms
+        at the root and at most one update per split on the way down, each
+        term a rounded square of a rounded difference: at most D + h
+        roundings of a running sum of non-negative terms plus 3 u, so within
+        (D + h + 4) u of the exact cell distance, itself at most the exact
+        squared distance of every point in the cell.  Such a point is then
+        at least t_m (1 - (D + h + 4) u / 2) away exactly, and at least
+        t_m (1 - (2D + h + 8) u / 2) by numpy's arithmetic;
+      - the product that forms the bound rounds once more: u.
+    That is (2D + h + 10) u / 2 at most; margin = (D + h + 8) eps, twice
+    that and more, leaves room for the second-order terms.  h is bounded by
+    the tree's internal nodes, (size - 1) / 2: about 900 for 10 000 points
+    in the plane, where the deepest leaf lies 14 splits down, so the margin
+    is about 2e-13 there.
     """
     tree = cKDTree(coords, balanced_tree=False)
+    splits = (tree.size - 1) // 2
+    shrink = 1.0 - (coords.shape[1] + splits + 8) * np.finfo(np.float64).eps
 
     def propose(r, m):
         qd, cand = tree.query(coords[r], k=m)
-        return cand, qd[:, -1] * (1.0 - _BOUNDARY_MARGIN)
+        return cand, qd[:, -1] * shrink
 
     return propose
 
@@ -333,12 +362,22 @@ _EIG_RESIDUAL_BOUND = 1e-8
 
 # Part of the spectrum cache key: bump it whenever a solver change can alter
 # the returned eigenpairs, so spectra cached by the old solver are recomputed.
-EIGENSOLVER_VERSION = 3
+EIGENSOLVER_VERSION = 4
 
 
 # spectrum of the symmetric conjugate lies in [-1, 1]; a shift just above its
 # top end is always safely away from any eigenvalue
 _SHIFT_OUTSIDE = 1.0 + 1e-6
+
+# Least distance between the inertia count's point mu and the smallest
+# shift-invert eigenvalue, far above the residuals the solver reaches (1e-15
+# to 1e-13), so rounding in the count's factor cannot miscount that value.
+_COUNT_GAP = 1e-10
+
+# Recovery rounds allowed, and the seed of the random start vectors of
+# every shift-invert Lanczos run.
+_RECOVERY_ROUNDS = 3
+_START_SEED = 0
 
 
 def _two_hop_growth(S) -> float:
@@ -354,31 +393,143 @@ def _two_hop_growth(S) -> float:
     return (head @ B).nnz / head.nnz
 
 
+def _symmetric_factor(S, shift):
+    """Sparse LU of S - shift I with every pivot on the diagonal.
+
+    SuperLU's symmetric mode orders rows and columns alike by minimum degree
+    on the pattern of A^T + A, and diag_pivot_thresh=0 takes the diagonal
+    pivot whenever it is nonzero.  The factor is then LDL^T written as LU
+    (U = D L^T), about half as full as a partial-pivoting LU.  A pivot left
+    the diagonal only where perm_r differs from perm_c.
+    """
+    shifted = S - shift * sparse.identity(S.shape[0], format="csr")
+    return splinalg.splu(
+        shifted.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+        options={"SymmetricMode": True},
+    )
+
+
+def _count_above(S, mu):
+    """Number of eigenvalues of S above mu, or None when it cannot be read.
+
+    With every pivot on the diagonal, the factor is S - mu I = Q^T L D L^T Q
+    for one permutation Q, a congruence, so by Sylvester's law of inertia
+    S - mu I has as many positive eigenvalues as D, U's diagonal, has
+    positive entries.  That is the spectrum-slicing count of shift-invert
+    Lanczos (Ericsson and Ruhe, 1980; Grimes, Lewis and Simon, 1994).  When
+    a pivot left the diagonal the factor is no congruence, and the result
+    is None.
+    """
+    lu = _symmetric_factor(S, mu)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None
+    return int(np.count_nonzero(lu.U.diagonal() > 0))
+
+
+def _max_residual(S, vals, vecs) -> float:
+    """Largest ||S v - lambda v|| over the pairs; unit v, so it bounds
+    each lambda's distance to the spectrum."""
+    return float(np.linalg.norm(S @ vecs - vecs * vals, axis=0).max())
+
+
+def _shift_invert(S, solve, k, v0):
+    """k eigenpairs of S nearest _SHIFT_OUTSIDE, solve applying (S - shift I)^-1."""
+    inverse = splinalg.LinearOperator(S.shape, matvec=solve, dtype=np.float64)
+    return splinalg.eigsh(
+        S, k=k, sigma=_SHIFT_OUTSIDE, OPinv=inverse, which="LM", v0=v0
+    )
+
+
+def _projector(V):
+    """x -> (I - V V^T) x for orthonormal columns V."""
+    return lambda x: x - V @ (V.T @ x)
+
+
+def _recover(S, solve, vals, vecs, mu, count, rng):
+    """Complete the pairs above mu to count of them, or raise NumericalError.
+
+    Each round runs shift-invert Lanczos on the same factor with the found
+    vectors V projected out of the operator, P solve P with P = I - V V^T,
+    for the count - len(vals) pairs still missing.  It starts from a fresh
+    random vector of rng, projected: in exact arithmetic a missed copy of a
+    repeated eigenvalue is orthogonal to the start of the run that missed
+    it, which finds such copies only through rounding.  Pairs found above mu
+    join the set; once the set holds count of them it is complete, since
+    the count proves that no other eigenvalue lies above mu.
+    """
+    for _ in range(_RECOVERY_ROUNDS):
+        project = _projector(vecs)
+        start = project(rng.standard_normal(S.shape[0]))
+        new_vals, new_vecs = _shift_invert(
+            S, lambda x: project(solve(project(x))), count - vals.size, start
+        )
+        above = new_vals > mu
+        vals = np.concatenate([vals, new_vals[above]])
+        vecs = np.hstack([vecs, new_vecs[:, above]])
+        if vals.size == count:
+            return vals, vecs
+    raise NumericalError(
+        f"shift-invert found {vals.size} of the {count} eigenvalues above "
+        f"{mu:.17g} after {_RECOVERY_ROUNDS} recovery rounds"
+    )
+
+
 def _sparse_eigensolve(S, num_eigs: int, v0: np.ndarray):
     """Top-by-modulus eigenpairs of S via shift-invert Lanczos, or None.
 
     Used on planar-like graphs only, where the sparse LU of S - sigma I stays
-    sparse.  The eigenvalues nearest a shift just above +1 are the largest
-    algebraic ones; they are the top by modulus unless the bottom of the
-    spectrum reaches below minus the smallest kept value.  A cheap probe of
-    the smallest eigenvalue must prove that it does not.  When it cannot, or
-    the factorization or the probe fails, the result is None, and the caller
-    runs its plain Lanczos call for the top pairs by modulus instead.
+    sparse.  S - sigma I is negative definite for the shift sigma just above
+    +1, so one symmetric-mode factor with diagonal pivots is stable; its
+    solve is the Lanczos operator.  The eigenvalues nearest the shift are
+    the largest algebraic ones; they are the top by modulus unless the
+    bottom of the spectrum reaches below minus the smallest kept value.  A
+    cheap probe of the smallest eigenvalue, started from v0, must prove that
+    it does not.
+
+    The Lanczos run starts from a seeded random vector, not from v0.
+    Single-vector Lanczos finds the copies of a repeated eigenvalue only
+    through rounding, and the random start found more of them: on one
+    Gaussian of 10 000 points (seed 0) all 7 copies of 1 against 6 from v0,
+    and at 20 000 points (seeds 0-3) 16, 7, 13 and 10 of 16, 8, 13 and 10
+    against 12, 7, 12 and 10.  So the recovery below runs less often.
+
+    The returned pairs are then proved complete.  An inertia count at mu,
+    below the smallest returned eigenvalue by more than twice the largest
+    residual (at least _COUNT_GAP), gives the number of eigenvalues above
+    mu.  Fewer than returned is a NumericalError; more starts the recovery,
+    which adds the missing pairs above mu or raises NumericalError.  The
+    result may then hold more than num_eigs pairs, every eigenpair above mu.
+
+    When the probe cannot prove its case, or a factorization, the first
+    solve or the probe fails, or a pivot of the count's factor leaves the
+    diagonal, the result is None, and the caller runs its plain Lanczos call
+    for the top pairs by modulus instead.
     """
     probe_tol = 1e-3
+    rng = np.random.default_rng(_START_SEED)
     try:
-        vals, vecs = splinalg.eigsh(
-            S.tocsc(), k=num_eigs, sigma=_SHIFT_OUTSIDE, which="LM", v0=v0
-        )
+        lu = _symmetric_factor(S, _SHIFT_OUTSIDE)
+        vals, vecs = _shift_invert(S, lu.solve, num_eigs, rng.standard_normal(S.shape[0]))
         bottom = splinalg.eigsh(
             S, k=1, which="SA", v0=v0, tol=probe_tol, return_eigenvectors=False
         )
+        # Ritz values sit inside the spectrum; widen by the residual bound
+        if float(bottom[0]) - 10.0 * probe_tol - 1e-3 <= -float(np.min(np.abs(vals))):
+            return None
+        mu = float(vals.min()) - max(2.0 * _max_residual(S, vals, vecs), _COUNT_GAP)
+        count = _count_above(S, mu)
     except (RuntimeError, MemoryError):  # ArpackNoConvergence is a RuntimeError
         return None
-    # Ritz values sit inside the spectrum; widen by the residual bound
-    if float(bottom[0]) - 10.0 * probe_tol - 1e-3 > -float(np.min(np.abs(vals))):
-        return vals, vecs
-    return None
+    if count is None:
+        return None
+    if count < vals.size:
+        raise NumericalError(
+            f"inertia count of {count} eigenvalues above {mu:.17g} is below "
+            f"the {vals.size} shift-invert returned"
+        )
+    if count > vals.size:
+        vals, vecs = _recover(S, lu.solve, vals, vecs, mu, count, rng)
+    return vals, vecs
 
 
 def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
@@ -394,6 +545,15 @@ def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
     to machine precision, and the returned pairs are checked: a residual
     ||S v - lambda v|| above 1e-8 raises NumericalError.  Eigenvectors are
     converted to right eigenvectors of P by dividing by sqrt(stationary).
+
+    Completeness is proved on the dense path, where every pair is computed,
+    and on the shift-invert path, where an inertia count of the eigenvalues
+    above the smallest returned one must match the pairs found, missing
+    pairs are recovered, and a gap no recovery closes raises NumericalError
+    (see _sparse_eigensolve).  The plain-Lanczos path carries no such proof:
+    there the LDL^T factor that the count needs fills in to a nearly dense
+    matrix, so a copy of a repeated eigenvalue that single-vector Lanczos
+    misses goes unnoticed, and the next eigenpair takes its place.
     """
     n = mc.n
     _check_count("num_eigs", num_eigs, n)
@@ -417,7 +577,7 @@ def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
     order = np.lexsort((-evals, -np.abs(evals)))[:num_eigs]
     evals = evals[order]
     evecs = evecs[:, order]
-    residual = float(np.linalg.norm(S @ evecs - evecs * evals, axis=0).max())
+    residual = _max_residual(S, evals, evecs)
     if not residual <= _EIG_RESIDUAL_BOUND:
         raise NumericalError(
             f"eigenpair residual {residual:.3g} exceeds {_EIG_RESIDUAL_BOUND:g}"

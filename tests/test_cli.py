@@ -106,6 +106,22 @@ class TestPipelineCommands:
         assert len(prompts) == 2
         assert out.exists()
 
+    def test_a_library_warning_is_one_stderr_line(self, tmp_path):
+        # pytest records warnings in-process, so only a subprocess shows
+        # what the user sees
+        assert run_cli("gen-data", "--dataset", "geometric", "--seed", "11",
+                       "--sizes", "50,50,50", "--out", str(tmp_path / "geo")) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "diffal.cli", "lund",
+             "--data", str(tmp_path / "geo" / "points.csv"), "--t", "10",
+             "--out", str(tmp_path / "labels.txt")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "warning: second eigenvalue has modulus 1: the graph appears disconnected"
+        ]
+
     def test_scan_t_csv(self, tmp_path):
         out = tmp_path / "scan.csv"
         code = run_cli(

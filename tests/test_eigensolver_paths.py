@@ -1,10 +1,13 @@
 """The sparse eigensolver path chosen from the graph's two-hop growth, the
-residual check on every returned eigenpair, and spectrum cache entries that
-cannot be trusted."""
+inertia count that proves the shift-invert pairs complete and the recovery
+of missed ones, the residual check on every returned eigenpair, and
+spectrum cache entries that cannot be trusted."""
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import diffal as da
 import diffal.graph as graph
@@ -83,6 +86,91 @@ class TestPathChoice:
         with pytest.warns(UserWarning, match="appears disconnected"):
             spec = da.spectral_decompose(mc, NUM_EIGS)
         assert np.sum(np.abs(spec.eigenvalues - 1.0) < 1e-8) >= 2
+
+
+def _assert_top_pairs_match_dense(mc, spec):
+    evals = scipy.linalg.eigh(_symmetric_conjugate(mc).toarray(), eigvals_only=True)
+    order = np.lexsort((-evals, -np.abs(evals)))
+    assert np.max(np.abs(spec.eigenvalues - evals[order[:NUM_EIGS]])) <= 1e-10
+
+
+def _spy_shift_invert_solves(monkeypatch, drop_first_top=False):
+    """Record k of every shift-invert Lanczos run; with drop_first_top, the
+    first run loses its largest pair, as a missed copy of 1 would be lost."""
+    calls = []
+    real = graph._shift_invert
+
+    def spy(S, solve, k, v0):
+        calls.append(k)
+        vals, vecs = real(S, solve, k, v0)
+        if drop_first_top and len(calls) == 1:
+            keep = np.arange(k) != np.argmax(vals)
+            return vals[keep], vecs[:, keep]
+        return vals, vecs
+
+    monkeypatch.setattr(graph, "_shift_invert", spy)
+    return calls
+
+
+class TestCompleteness:
+    """The inertia count proves the shift-invert pairs complete above mu;
+    when it shows pairs missing, the recovery adds them or fails with exit 4."""
+
+    def test_every_copy_of_one_of_separate_components_is_returned(self):
+        # six single points 12 from a Gaussian cloud of 400, each with kernel
+        # weights below 1e-17 to every other point: seven numerically
+        # separate components, so 1 is an eigenvalue seven times over
+        rng = np.random.default_rng(0)
+        angle = np.arange(6) * np.pi / 3
+        far = 12.0 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        mc = _chain(np.vstack([rng.normal(size=(400, 2)), far]))
+        assert mc.transitions[400:, :400].max() < 1e-17
+        assert _two_hop_growth(_symmetric_conjugate(mc)) <= _PLANAR_GROWTH
+        with pytest.warns(UserWarning, match="appears disconnected"):
+            spec = da.spectral_decompose(mc, NUM_EIGS)
+        assert np.sum(spec.eigenvalues >= 1.0 - 1e-12) == 7
+        _assert_top_pairs_match_dense(mc, spec)
+
+    def test_a_missed_pair_is_recovered_in_one_round(self, monkeypatch):
+        mc = _chain(_cloud(2))
+        calls = _spy_shift_invert_solves(monkeypatch, drop_first_top=True)
+        spec = da.spectral_decompose(mc, NUM_EIGS)
+        assert calls == [NUM_EIGS, 1]
+        _assert_top_pairs_match_dense(mc, spec)
+
+    @pytest.mark.parametrize("excess, message, solves", [
+        # every round finds the next pair, which lies below mu
+        (1, "recovery rounds", [NUM_EIGS] + [1] * graph._RECOVERY_ROUNDS),
+        (-1, "is below the 25 shift-invert returned", [NUM_EIGS]),
+    ])
+    def test_a_count_the_pairs_cannot_meet_exits_4(
+        self, monkeypatch, tmp_path, capsys, excess, message, solves
+    ):
+        real = graph._count_above
+        monkeypatch.setattr(graph, "_count_above", lambda S, mu: real(S, mu) + excess)
+        calls = _spy_shift_invert_solves(monkeypatch)
+        with pytest.raises(da.NumericalError, match=message):
+            da.spectral_decompose(_chain(_cloud(2)), NUM_EIGS)
+        assert calls == solves
+
+        points = tmp_path / "points.csv"
+        da.save_csv(points, da.PointCloud(_cloud(2, n=400)))
+        out = tmp_path / "labels.txt"
+        assert main(["lund", "--data", str(points), "--t", "10", "--out", str(out)]) == 4
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("numerical failure:") and message in err
+        assert "\n" not in err
+        assert not out.exists()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(20, 80), st.integers(1, 3),
+       st.integers(2, 8), st.floats(-1.0, 1.0))
+def test_inertia_count_equals_dense_count(seed, n, dim, k, mu):
+    S = _symmetric_conjugate(_chain(np.random.default_rng(seed).normal(size=(n, dim)), k=k))
+    evals = scipy.linalg.eigh(S.toarray(), eigvals_only=True)
+    assume(np.min(np.abs(evals - mu)) > 1e-8)
+    assert graph._count_above(S, mu) == np.count_nonzero(evals > mu)
 
 
 def _perturb_first_eigenvalue(vals, vecs):
@@ -264,9 +352,16 @@ class TestHandover:
         calls = self._record_eigsh(monkeypatch, **faults)
         spec = da.spectral_decompose(mc, NUM_EIGS)
         assert calls == want
-        evals = scipy.linalg.eigh(_symmetric_conjugate(mc).toarray(), eigvals_only=True)
-        order = np.lexsort((-evals, -np.abs(evals)))
-        assert np.max(np.abs(spec.eigenvalues - evals[order[:NUM_EIGS]])) <= 1e-10
+        _assert_top_pairs_match_dense(mc, spec)
+
+    def test_a_count_that_cannot_be_read_hands_over(self, monkeypatch):
+        # a pivot off the diagonal: the factor is no congruence
+        mc = _chain(_cloud(2))
+        monkeypatch.setattr(graph, "_count_above", lambda S, mu: None)
+        calls = self._record_eigsh(monkeypatch)
+        spec = da.spectral_decompose(mc, NUM_EIGS)
+        assert calls == ["shift", "probe", "plain"]
+        _assert_top_pairs_match_dense(mc, spec)
 
     @pytest.mark.parametrize("dim, want", [(2, ["shift", "plain"]), (5, ["plain"])])
     def test_plain_lanczos_without_convergence_exits_4(

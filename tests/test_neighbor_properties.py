@@ -98,6 +98,24 @@ def test_a_dense_local_maximum_widens_past_the_second_round(monkeypatch):
     assert 0 in rounds[2][1]
 
 
+@pytest.mark.parametrize("spread", [1e-13, 1e-16])
+@pytest.mark.parametrize("dim", [2, 5, 25])
+def test_distances_that_agree_to_a_spread_equal_brute_force(dim, spread):
+    # 300 points on a sphere about the origin with radii 1 + U(0, spread):
+    # seen from the origin, the least dense point, all 300 distances agree
+    # to the spread, so the tree's rounds turn on the boundary margin.  At
+    # 1e-16 the tree's rounding and numpy's order points differently, and a
+    # zero margin returns a wrong neighbor at dim 5.
+    rng = np.random.default_rng(0)
+    sphere = rng.normal(size=(300, dim))
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    sphere *= 1.0 + spread * rng.uniform(size=(300, 1))
+    points = np.vstack([np.zeros((1, dim)), sphere])
+    _assert_knn_is_brute_force(points, 7)
+    p = np.concatenate([[0.0], rng.integers(1, 4, size=300)]).astype(float)
+    _assert_nearest_denser_is_brute_force(points, p)
+
+
 # --- the GEMM candidate generator, used above the kd-tree's dimension limit ---
 
 @st.composite
