@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import diffal as da
 import diffal.graph as graph
 import diffal.pipeline as pipeline
+from diffal.cache import read_arrays, write_arrays
 from diffal.cli import main
 from diffal.graph import _PLANAR_GROWTH, _symmetric_conjugate, _two_hop_growth
 
@@ -234,13 +235,13 @@ class TestUntrustedCacheEntries:
             stationary=np.full(cloud.n, 1.0 / cloud.n),
         ))
         self._assert_same(da.build_model(cloud, k=self.K, cache_dir=tmp_path), fresh)
-        assert len(list(tmp_path.glob("eig_*.npz"))) == 2
+        assert len(list(tmp_path.glob("eig_*.bin"))) == 2
 
         # a new solver version misses the spectrum but reuses the neighbors
         monkeypatch.setattr(pipeline, "EIGENSOLVER_VERSION", graph.EIGENSOLVER_VERSION + 1)
         self._assert_same(da.build_model(cloud, k=self.K, cache_dir=tmp_path), fresh)
-        assert len(list(tmp_path.glob("eig_*.npz"))) == 3
-        assert len(list(tmp_path.glob("nb_*.npz"))) == 1
+        assert len(list(tmp_path.glob("eig_*.bin"))) == 3
+        assert len(list(tmp_path.glob("nb_*.bin"))) == 1
 
     def test_misshapen_neighbor_entry_is_a_miss_and_overwritten(self, tmp_path):
         cloud = self._cloud()
@@ -285,22 +286,22 @@ class TestUntrustedCacheEntries:
         else:
             kind, load = "eig", cache.load_spectrum
             shape = (cloud.n, da.default_num_eigs(cloud.n))
-        (path,) = tmp_path.glob(f"{kind}_*.npz")
+        (path,) = tmp_path.glob(f"{kind}_*.bin")
         key = path.stem.split("_", 1)[1]
-        with np.load(path) as data:
-            good = {name: data[name] for name in data.files}
+        good = read_arrays(path)
         bad = dict(good)
         if fault == "misshapen":
             bad[array] = good[array][:-1]
         else:
             del bad[array]
-        np.savez(path, **bad)
+        with open(path, "wb") as fh:
+            write_arrays(fh, bad)
         assert load(key, shape=shape) is None
 
         self._assert_same(da.build_model(cloud, k=self.K, cache_dir=tmp_path), fresh)
-        with np.load(path) as data:
-            assert sorted(data.files) == sorted(good)
-            assert all(np.array_equal(data[name], good[name]) for name in good)
+        data = read_arrays(path)
+        assert sorted(data) == sorted(good)
+        assert all(np.array_equal(data[name], good[name]) for name in good)
         assert load(key, shape=shape) is not None
 
 

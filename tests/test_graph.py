@@ -1,3 +1,4 @@
+import struct
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 import diffal as da
+from diffal.cache import read_arrays, write_arrays
 from diffal.graph import NumericalError, _symmetric_conjugate
 
 from conftest import brute_force_knn, build_graph_pieces
@@ -269,7 +271,7 @@ class TestCache:
         cloud = da.PointCloud(rng.normal(size=(100, 2)))
         cold = da.build_model(cloud, k=6)
         da.build_model(cloud, k=6, cache_dir=tmp_path)  # populates
-        entries = sorted(tmp_path.glob("*.npz"))
+        entries = sorted(tmp_path.glob("*.bin"))
         assert len(entries) == 2
         for path in entries:
             data = path.read_bytes()
@@ -323,3 +325,30 @@ class TestCache:
             assert np.array_equal(model.spectrum.eigenvalues, fresh.spectrum.eigenvalues)
             assert np.array_equal(model.spectrum.basis, fresh.spectrum.basis)
             assert np.array_equal(model.neighbors.indices, fresh.neighbors.indices)
+
+    def test_entry_file_keeps_names_dtypes_shapes_and_values(self, tmp_path):
+        rng = np.random.default_rng(28)
+        arrays = {"basis": np.asfortranarray(rng.normal(size=(7, 3))),
+                  "indices": np.arange(12, dtype=np.int64).reshape(3, 4),
+                  "empty": np.zeros((0, 5)), "format_version": np.array([2], dtype=np.int64)}
+        path = tmp_path / "entry.bin"
+        with open(path, "wb") as fh:
+            write_arrays(fh, arrays)
+        loaded = read_arrays(path)
+        assert list(loaded) == list(arrays)
+        for name, want in arrays.items():
+            assert loaded[name].dtype == want.dtype
+            assert np.array_equal(loaded[name], want)
+        loaded["basis"][0, 0] = 1.0  # loaded arrays are writable
+
+    @pytest.mark.parametrize("damage", ["magic", "short", "trailing byte", "object dtype"])
+    def test_damaged_entry_file_raises(self, tmp_path, damage):
+        path = tmp_path / "entry.bin"
+        with open(path, "wb") as fh:
+            write_arrays(fh, {"rho": np.ones(4)})
+        data = path.read_bytes()
+        data = {"magic": b"X" + data[1:], "short": data[:-1], "trailing byte": data + b"\0",
+                "object dtype": data.replace(b"<f8", b"|O\0")}[damage]
+        path.write_bytes(data)
+        with pytest.raises((ValueError, TypeError, struct.error)):
+            read_arrays(path)
