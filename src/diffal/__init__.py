@@ -6,9 +6,8 @@ oracle within a budget, and propagate labels; plus linkage/CBAL baselines,
 evaluation metrics, synthetic generators, and an experiment CLI.
 """
 
-from .baselines import (Dendrogram, cbal, cut, cut_purity_curve, cut_sequence, land_random,
-                        linkage)
-from .cache import DiffusionCache, content_key
+from .baselines import Dendrogram, cbal, cut_purity_curve, land_random, linkage
+from .cache import DiffusionCache
 from .datagen import gen_bottleneck, gen_gaussians, gen_geometric, gen_hierarchical
 from .dataset import (
     DataError,
@@ -28,12 +27,10 @@ from .geometry import (
     DensityEstimate,
     DiffusionEmbedding,
     ModeScores,
-    diffusion_distance,
     diffusion_embed,
     kde,
     mode_scores,
     nearest_denser_points,
-    pairwise_diffusion_distances,
 )
 from .graph import (
     MarkovChain,
@@ -68,15 +65,12 @@ from .lund import (
     separation_diagnostics,
 )
 from .metrics import (
-    ConfusionMatrix,
     accuracy_scores,
     align_labels,
     average_accuracy,
     cohens_kappa,
-    confusion_matrix,
     overall_accuracy,
     purity,
-    purity_curve,
 )
 from .pipeline import DiffusionModel, build_model, log_t_grid
 

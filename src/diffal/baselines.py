@@ -12,10 +12,9 @@ overwritten, and whenever the live clusters fall to half the matrix side the
 matrix shrinks in place, inside its own buffer, to the live slots in
 ascending order, so the tie rule reads the same on the smaller matrix.
 
-Dendrogram cuts number their clusters 1..L by each cluster's smallest
-member index.  cut_sequence keeps that smallest member per point while it
-replays the merges, so a cut ranks those values in O(n).  cut_purity_curve
-replays the merges with class counts instead and builds no cut.
+cut_purity_curve is the one path that reads a dendrogram's cuts: it
+replays the merges with class counts and reads each level's purity off
+them, building no cut.
 """
 
 from __future__ import annotations
@@ -139,44 +138,9 @@ def linkage(cloud: PointCloud, method: str) -> Dendrogram:
     return Dendrogram(children_a=ch_a, children_b=ch_b, heights=heights, n_leaves=n)
 
 
-def cut(dend: Dendrogram, num_clusters: int) -> np.ndarray:
-    """Partition into exactly num_clusters clusters by undoing the last merges.
-
-    Returns labels 1..num_clusters, numbered by each cluster's smallest
-    member index.
-    """
-    return cut_sequence(dend, [num_clusters])[0]
-
-
-def cut_sequence(dend: Dendrogram, levels) -> list[np.ndarray]:
-    """cut() for many levels in one pass over the merges (levels need not be sorted).
-
-    Every point carries the smallest member index of its current cluster, so
-    a merge relabels the larger of the two smallest members to the other.
-    Marking the values present and taking their running count ranks them,
-    which yields the labels numbered by smallest member.
-    """
-    n = dend.n_leaves
-    levels = _check_levels(levels, n)
-    low = np.empty(n + dend.n_merges, dtype=np.int64)  # smallest member per cluster id
-    low[:n] = np.arange(n)
-    comp = np.arange(n, dtype=np.int64)
-    out: dict[int, np.ndarray] = {}
-    applied = 0
-    for ell in sorted(set(levels), reverse=True):  # fewest merges first
-        while applied < n - ell:
-            a, b = sorted((low[dend.children_a[applied]], low[dend.children_b[applied]]))
-            comp[comp == b] = a
-            low[n + applied] = a
-            applied += 1
-        present = np.zeros(n, dtype=np.int64)
-        present[comp] = 1
-        out[ell] = np.cumsum(present)[comp]
-    return [out[ell] for ell in levels]
-
-
 def cut_purity_curve(dend: Dendrogram, levels, truth) -> list[float]:
-    """purity(cut(dend, ell), truth) for each level, from one replay of the merges.
+    """For each level ell, the purity of the ell clusters left by undoing the
+    last merges, from one replay of the merges.
 
     Every cluster carries the class counts of its evaluable points from the
     singletons up, so a level's purity is read off after its merges and no
@@ -195,13 +159,6 @@ def cut_purity_curve(dend: Dendrogram, levels, truth) -> list[float]:
         applied = n - ell
         out[ell] = counts.purity()
     return [out[ell] for ell in levels]
-
-
-def save_merges_csv(path, dend: Dendrogram) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("child_a,child_b,height\n")
-        for a, b, h in zip(dend.children_a, dend.children_b, dend.heights):
-            fh.write(f"{int(a)},{int(b)},{float(h)!r}\n")
 
 
 def land_random(

@@ -7,8 +7,9 @@ carrying a format version, so stale layouts are rejected instead of
 misread.  An entry that cannot be trusted counts as a miss and is
 overwritten by the recomputed result: one that cannot be read (truncated,
 corrupt), that lacks an array, or whose arrays do not have the shapes the
-caller expects from n, k and num_eigs.  Spectrum keys carry the eigensolver
-version, so spectra cached by an older solver are recomputed.
+caller expects from n, k and num_eigs and the dtypes int64 (indices) and
+float64 (values).  Spectrum keys carry the eigensolver version, so spectra
+cached by an older solver are recomputed.
 
 A "rho" entry holds geometry.nearest_denser_points's two arrays at one
 diffusion time, 16 bytes per point.  Its key hashes the points, k, sigma,
@@ -40,6 +41,7 @@ FORMAT_VERSION = 2
 # per-array headers dominate.
 _MAGIC = b"DIFFALCA"
 _ARRAY_HEAD = struct.Struct("<16s8sI")  # name, numpy dtype string, ndim
+_INDEX_ARRAYS = ("indices", "nearest_higher")  # int64; every other array is float64
 
 
 @dataclass(frozen=True)
@@ -59,16 +61,12 @@ def points_hash(points: np.ndarray):
 
 
 def params_key(points_state, **params) -> str:
-    """content_key of the points hashed into points_state; hashes a copy."""
+    """Hex digest identifying the points hashed into points_state (see
+    points_hash) and the sorted params; hashes a copy of the state."""
     h = points_state.copy()
     for name in sorted(params):
         h.update(f"|{name}={params[name]!r}".encode())
     return h.hexdigest()
-
-
-def content_key(points: np.ndarray, **params) -> str:
-    """Hex digest identifying (points, sorted params)."""
-    return params_key(points_hash(points), **params)
 
 
 def write_arrays(fh, arrays: dict) -> None:
@@ -133,7 +131,8 @@ class DiffusionCache:
     def _load(self, kind: str, key: str, cls, shapes: dict):
         """The entry as a cls built from the arrays named in shapes, or None
         when it is missing, stale, unreadable, lacks one of those arrays or
-        holds one whose shape is not shapes[name]."""
+        holds one whose shape is not shapes[name] or whose dtype is not
+        int64 (_INDEX_ARRAYS) or float64."""
         try:
             arrays = read_arrays(self._path(kind, key))
         except (OSError, ValueError, TypeError, struct.error):
@@ -142,6 +141,7 @@ class DiffusionCache:
         if version is None or version.shape != (1,) or version[0] != FORMAT_VERSION:
             return None
         if any(name not in arrays or arrays[name].shape != want
+               or arrays[name].dtype != (np.int64 if name in _INDEX_ARRAYS else np.float64)
                for name, want in shapes.items()):
             return None
         return cls(**{name: arrays[name] for name in shapes})

@@ -37,8 +37,8 @@ BRIDGE_NOISE = 0.05
 
 def gen_gaussians(means, stddev: float, sizes, seed: int) -> tuple[PointCloud, np.ndarray]:
     """Isotropic Gaussian blobs; truth is the component index 1..K."""
-    if stddev <= 0:
-        raise ValueError(f"stddev must be positive, got {stddev}")
+    if not 0 < stddev < np.inf:
+        raise ValueError(f"stddev must be positive and finite, got {stddev}")
     means = [np.asarray(m, dtype=np.float64) for m in means]
     if len(means) != len(sizes):
         raise ValueError(f"{len(means)} means but {len(sizes)} sizes")
@@ -46,6 +46,8 @@ def gen_gaussians(means, stddev: float, sizes, seed: int) -> tuple[PointCloud, n
     for m in means:
         if m.shape != (dim,):
             raise ValueError("all means must have the same dimension")
+    if not np.all(np.isfinite(means)):
+        raise ValueError("all means must be finite")
     if any(s < 1 for s in sizes):
         raise ValueError("all component sizes must be positive")
     rng = np.random.default_rng(seed)

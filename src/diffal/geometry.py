@@ -85,18 +85,6 @@ def diffusion_embed(spec: SpectralDecomposition, t: float) -> DiffusionEmbedding
     return DiffusionEmbedding(coords=coords, t=float(t))
 
 
-def diffusion_distance(emb: DiffusionEmbedding, i: int, j: int) -> float:
-    """Truncated diffusion distance between points i and j."""
-    diff = emb.coords[i] - emb.coords[j]
-    return float(np.sqrt(np.einsum("i,i->", diff, diff)))
-
-
-def pairwise_diffusion_distances(emb: DiffusionEmbedding) -> np.ndarray:
-    """Dense n x n distance matrix; intended for small n (tests, diagnostics)."""
-    diff = emb.coords[:, None, :] - emb.coords[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-
-
 def kde(neighbors: NeighborLists, k_density: int, sigma0: float) -> DensityEstimate:
     """p(x) = sum over the k_density nearest neighbors of exp(-dist^2/sigma0^2).
 
@@ -116,12 +104,6 @@ def kde(neighbors: NeighborLists, k_density: int, sigma0: float) -> DensityEstim
 def global_density_maximizer(p: np.ndarray) -> int:
     """Unique top of the density order: maximum p, ties to the smaller index."""
     return int(np.argmax(p))
-
-
-def density_descending_order(p: np.ndarray) -> np.ndarray:
-    """Indices sorted by decreasing density, ties by increasing index."""
-    n = p.shape[0]
-    return np.lexsort((np.arange(n), -p))
 
 
 def nearest_denser_points(

@@ -259,17 +259,3 @@ def separation_diagnostics(emb: DiffusionEmbedding, dens: DensityEstimate,
         lund_condition_holds=bool(lund_ok),
         land_condition_holds=bool(land_ok),
     )
-
-
-def save_diagnostics_csv(path, diag: SeparationDiagnostics) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("field,value\n")
-        fh.write(f"d_in,{diag.d_in!r}\n")
-        fh.write(f"d_btw,{diag.d_btw!r}\n")
-        fh.write(f"max_mode_density,{diag.max_mode_density!r}\n")
-        fh.write(f"min_mode_density,{diag.min_mode_density!r}\n")
-        fh.write(f"lund_condition_holds,{int(diag.lund_condition_holds)}\n")
-        fh.write(f"land_condition_holds,{int(diag.land_condition_holds)}\n")
-        for c, m in zip(diag.class_ids, diag.maximizer_indices):
-            fh.write(f"maximizer_class_{int(c)},{int(m)}\n")
-

@@ -14,8 +14,6 @@ memory, with no ids x ids matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -24,23 +22,6 @@ from .dataset import DataError, _DataValueError, validate_labels
 
 class _DataOverflowError(DataError, OverflowError):
     """A data fault that the API raises as an OverflowError: exit 3 in the CLI."""
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts over the evaluable (truth > 0) points.
-
-    Rows and columns are indexed by the shared sorted alphabet of class ids
-    appearing in either vector, so the matrix is square and marginals are
-    directly comparable.
-    """
-
-    counts: np.ndarray
-    class_ids: np.ndarray
-
-    @property
-    def n_eval(self) -> int:
-        return int(self.counts.sum())
 
 
 def _labeled(truth, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -98,14 +79,6 @@ def _kappa(n: int, correct: int, chance: int) -> float:
             return 1.0
         raise ValueError("kappa undefined: chance agreement is 1 but labelings differ")
     return (p_o - p_e) / (1.0 - p_e)
-
-
-def confusion_matrix(pred, truth) -> ConfusionMatrix:
-    p, t = _evaluable(pred, truth)
-    ids = np.union1d(p, t)
-    counts = np.zeros((ids.size, ids.size), dtype=np.int64)
-    np.add.at(counts, (np.searchsorted(ids, t), np.searchsorted(ids, p)), 1)
-    return ConfusionMatrix(counts=counts, class_ids=ids)
 
 
 def overall_accuracy(pred, truth) -> float:
@@ -231,9 +204,3 @@ class _ClassCounts:
 
     def purity(self) -> float:
         return self.total / self.n_eval
-
-
-def purity_curve(family, truth) -> np.ndarray:
-    """Purity of each clustering in an iterable family (e.g. dendrogram cuts)."""
-    return np.array([purity(labels, truth) for labels in family], dtype=np.float64)
-

@@ -68,9 +68,9 @@ class DiffusionModel:
         When the spectrum holds more than one pair and every |lambda_l|^t with
         l >= 2 underflows to exactly 0, the embedding is lambda_1^t psi_1,
         constant up to rounding, so every mode score is 0: that raises
-        NumericalError ("zero mode score") before the search.  A 0 weight
-        means |lambda_2| is far below 1, so the graph is connected; the
-        lambda = 1 columns of a disconnected graph keep weight 1.
+        NumericalError ("zero mode score") before the search.  Computed
+        copies of lambda = 1, one per component of a disconnected graph, sit
+        about 1e-15 below 1, so they keep their weight only while t << 1e15.
 
         A model built with a cache_dir reads the nearest-denser search's
         result at t from the cache, after those checks and only then, and on

@@ -1,0 +1,28 @@
+"""Test-only references that several test modules compare the library against."""
+
+import numpy as np
+
+
+def reference_cuts(dend, levels):
+    """Independent cut oracle: replay each merge prefix with Python sets and
+    number the clusters 1..L by their smallest member."""
+    n = dend.n_leaves
+    out = []
+    for ell in levels:
+        clusters = {i: {i} for i in range(n)}
+        for s in range(n - ell):
+            a, b = int(dend.children_a[s]), int(dend.children_b[s])
+            clusters[n + s] = clusters.pop(a) | clusters.pop(b)
+        labels = np.zeros(n, dtype=np.int64)
+        for rank, members in enumerate(sorted(clusters.values(), key=min), start=1):
+            labels[list(members)] = rank
+        out.append(labels)
+    return out
+
+
+def pairwise_distances(coords):
+    """Dense n x n Euclidean distances between the rows of coords.  Each
+    difference is reduced in one order, so the matrix is exactly symmetric
+    with an exactly zero diagonal."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))

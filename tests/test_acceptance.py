@@ -285,8 +285,7 @@ def test_criterion_6_purity_levels_beat_linkage():
         lund_level = _min_level(lund_purities)
 
         dend = da.linkage(cloud, linkage_method)
-        cuts = da.cut_sequence(dend, range(1, cloud.n + 1))
-        curve = da.purity_curve(cuts, truth)
+        curve = da.cut_purity_curve(dend, range(1, cloud.n + 1), truth)
         linkage_level = _min_level(curve)
 
         monotone = bool(np.all(np.diff(curve) >= -1e-15))

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 import scipy.sparse.csgraph as csgraph
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import diffal as da
-from diffal.baselines import save_merges_csv
 from diffal.land import BudgetExceededError
+
+from reference import reference_cuts
 
 
 def brute_force_linkage(points, method):
@@ -79,29 +78,13 @@ class TestLinkage:
         with pytest.raises(ValueError):
             da.linkage(da.PointCloud(np.zeros((3, 1))), "ward")
 
-    def test_merges_csv(self, tmp_path):
-        dend = da.linkage(da.PointCloud(np.array([[0.0], [1.0], [5.0]])), "single")
-        path = tmp_path / "merges.csv"
-        save_merges_csv(path, dend)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "child_a,child_b,height"
-        assert len(lines) == 3
-
 
 class TestCut:
-    def test_extremes(self):
-        rng = np.random.default_rng(83)
-        pts = rng.normal(size=(15, 2))
-        dend = da.linkage(da.PointCloud(pts), "average")
-        assert np.all(da.cut(dend, 1) == 1)
-        assert sorted(da.cut(dend, 15).tolist()) == list(range(1, 16))
-
     def test_refinement_chain(self):
         rng = np.random.default_rng(84)
         dend = da.linkage(da.PointCloud(rng.normal(size=(20, 2))), "average")
-        for ell in range(1, 20):
-            coarse = da.cut(dend, ell)
-            fine = da.cut(dend, ell + 1)
+        cuts = reference_cuts(dend, range(1, 21))
+        for coarse, fine in zip(cuts, cuts[1:]):
             # each fine cluster maps into exactly one coarse cluster
             for fc in np.unique(fine):
                 assert len(np.unique(coarse[fine == fc])) == 1
@@ -111,82 +94,20 @@ class TestCut:
             )
             assert split == 1
 
-    def test_ids_assigned_by_smallest_member(self):
-        pts = np.array([[10.0], [0.0], [0.1], [10.1]])
-        dend = da.linkage(da.PointCloud(pts), "single")
-        labels = da.cut(dend, 2)
-        # point 0 sits in the cluster {0, 3}; it holds the smallest index so
-        # that cluster takes id 1
-        assert labels.tolist() == [1, 2, 2, 1]
-
     def test_out_of_range(self):
         dend = da.linkage(da.PointCloud(np.array([[0.0], [1.0]])), "single")
         with pytest.raises(ValueError):
-            da.cut(dend, 0)
+            da.cut_purity_curve(dend, [0], [1, 1])
         with pytest.raises(ValueError):
-            da.cut(dend, 3)
-
-    def test_cut_sequence_matches_cut(self):
-        rng = np.random.default_rng(85)
-        dend = da.linkage(da.PointCloud(rng.normal(size=(18, 2))), "average")
-        levels = [1, 4, 7, 18, 2]
-        seq = da.cut_sequence(dend, levels)
-        for ell, labels in zip(levels, seq):
-            assert np.array_equal(labels, da.cut(dend, ell))
+            da.cut_purity_curve(dend, [3], [1, 1])
 
     def test_dendrogram_purity_monotone_and_final_one(self):
         cloud, truth = da.gen_bottleneck(seed=86, sizes=(60, 60, 10))
         for method in ("single", "average"):
             dend = da.linkage(cloud, method)
-            cuts = da.cut_sequence(dend, range(1, cloud.n + 1))
-            purities = da.purity_curve(cuts, truth)
+            purities = da.cut_purity_curve(dend, range(1, cloud.n + 1), truth)
             assert np.all(np.diff(purities) >= -1e-15)
             assert purities[-1] == 1.0
-
-
-def reference_cuts(dend, levels):
-    """Independent cut oracle: replay each merge prefix with Python sets and
-    number the clusters 1..L by their smallest member."""
-    n = dend.n_leaves
-    out = []
-    for ell in levels:
-        clusters = {i: {i} for i in range(n)}
-        for s in range(n - ell):
-            a, b = int(dend.children_a[s]), int(dend.children_b[s])
-            clusters[n + s] = clusters.pop(a) | clusters.pop(b)
-        labels = np.zeros(n, dtype=np.int64)
-        for rank, members in enumerate(sorted(clusters.values(), key=min), start=1):
-            labels[list(members)] = rank
-        out.append(labels)
-    return out
-
-
-@st.composite
-def grid_dendrograms(draw):
-    """A linkage tree over a tie-heavy integer grid with duplicate points,
-    plus an unsorted level list with repeats."""
-    dim = draw(st.integers(1, 2))
-    points = draw(st.lists(
-        st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
-        min_size=2, max_size=25,
-    ))
-    method = draw(st.sampled_from(["single", "average"]))
-    dend = da.linkage(da.PointCloud(np.array(points, dtype=float)), method)
-    levels = draw(st.lists(st.integers(1, len(points)), min_size=1, max_size=8))
-    return dend, levels
-
-
-@settings(max_examples=30, deadline=None)
-@given(grid_dendrograms())
-def test_cuts_equal_set_replay(dend_and_levels):
-    dend, levels = dend_and_levels
-    expected = reference_cuts(dend, levels)
-    got = da.cut_sequence(dend, levels)
-    assert len(got) == len(levels)
-    for labels, want, ell in zip(got, expected, levels):
-        assert labels.dtype == np.int64
-        assert np.array_equal(labels, want)
-        assert np.array_equal(da.cut(dend, ell), want)
 
 
 class TestLandRandom:

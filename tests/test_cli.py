@@ -60,6 +60,17 @@ class TestGenData:
         loaded = da.load_csv(out / "points.csv")
         assert np.allclose(loaded.points, cloud.points, atol=0)
 
+    @pytest.mark.parametrize("args", [
+        ["gaussians", "--stddev", "nan"],
+        ["gaussians", "--stddev", "inf"],
+        ["gaussians", "--means", "nan,0;5,5", "--sizes", "10,10"],
+        ["hierarchical", "--stddev", "nan"],
+    ])
+    def test_non_finite_generator_value_is_a_config_error(self, tmp_path, capsys, args):
+        assert run_cli("gen-data", "--dataset", *args, "--out", str(tmp_path / "ds")) == 2
+        assert _one_line(capsys, "config")
+        assert not (tmp_path / "ds" / "points.csv").exists()
+
 
 class TestPipelineCommands:
     def test_build_graph_summary(self, small_dataset, capsys):
@@ -1010,7 +1021,7 @@ def test_purity_replays_every_level_above_the_roots_rank(small_dataset, tmp_path
     # and no per-level purity
     points, labels, _, _ = small_dataset
     lund_module = sys.modules["diffal.lund"]
-    calls = {"lund_k": 0, "purity": 0, "cut_sequence": 0}
+    calls = {"lund_k": 0, "purity": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -1023,11 +1034,10 @@ def test_purity_replays_every_level_above_the_roots_rank(small_dataset, tmp_path
 
     counted(lund_module, "lund_k")
     counted(lund_module, "purity")
-    counted(sys.modules["diffal.baselines"], "cut_sequence")
     out = tmp_path / "purity.csv"
     assert run_cli("purity", "--data", str(points), "--truth", str(labels), "--t", "100",
                    "--levels", "120", "--out", str(out)) == 0
-    assert calls == {"lund_k": 1, "purity": 0, "cut_sequence": 0}
+    assert calls == {"lund_k": 1, "purity": 0}
     rows = out.read_text().splitlines()
     assert len(rows) == 1 + 3 * 120
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import diffal as da
 import diffal.graph as graph
 import diffal.pipeline as pipeline
-from diffal.cache import read_arrays, write_arrays
+from diffal.cache import params_key, points_hash, read_arrays, write_arrays
 from diffal.cli import main
 from diffal.graph import _PLANAR_GROWTH, _symmetric_conjugate, _two_hop_growth
 
@@ -226,9 +226,8 @@ class TestUntrustedCacheEntries:
         num_eigs = da.default_num_eigs(cloud.n)
         # a wrong spectrum of the right shape under the key of a cache that
         # did not record the solver version
-        old_key = da.content_key(
-            cloud.points, kind="spectrum", k=self.K, sigma=fresh.sigma, num_eigs=num_eigs
-        )
+        old_key = params_key(points_hash(cloud.points), kind="spectrum", k=self.K,
+                             sigma=fresh.sigma, num_eigs=num_eigs)
         cache = da.DiffusionCache(tmp_path)
         cache.save_spectrum(old_key, da.SpectralDecomposition(
             eigenvalues=np.ones(num_eigs), basis=np.ones((cloud.n, num_eigs)),
@@ -246,7 +245,7 @@ class TestUntrustedCacheEntries:
     def test_misshapen_neighbor_entry_is_a_miss_and_overwritten(self, tmp_path):
         cloud = self._cloud()
         fresh = da.build_model(cloud, k=self.K)
-        key = da.content_key(cloud.points, kind="neighbors", k=self.K)
+        key = params_key(points_hash(cloud.points), kind="neighbors", k=self.K)
         cache = da.DiffusionCache(tmp_path)
         short = da.knn_search(cloud, self.K - 1)
         cache.save_neighbors(key, short)
@@ -259,9 +258,9 @@ class TestUntrustedCacheEntries:
         cloud = self._cloud()
         fresh = da.build_model(cloud, k=self.K)
         num_eigs = da.default_num_eigs(cloud.n)
-        key = da.content_key(
-            cloud.points, kind="spectrum", k=self.K, sigma=fresh.sigma, num_eigs=num_eigs,
-            solver=graph.EIGENSOLVER_VERSION,
+        key = params_key(
+            points_hash(cloud.points), kind="spectrum", k=self.K, sigma=fresh.sigma,
+            num_eigs=num_eigs, solver=graph.EIGENSOLVER_VERSION,
         )
         cache = da.DiffusionCache(tmp_path)
         cache.save_spectrum(key, da.SpectralDecomposition(
@@ -274,7 +273,7 @@ class TestUntrustedCacheEntries:
         loaded = cache.load_spectrum(key, shape=(cloud.n, num_eigs))
         assert loaded.eigenvalues.shape == (num_eigs,)
 
-    @pytest.mark.parametrize("fault", ["misshapen", "missing"])
+    @pytest.mark.parametrize("fault", ["misshapen", "missing", "retyped"])
     @pytest.mark.parametrize("array", ["indices", "distances", "eigenvalues", "basis",
                                        "stationary"])
     def test_entry_with_one_bad_array_is_a_miss_and_overwritten(self, tmp_path, array, fault):
@@ -292,6 +291,8 @@ class TestUntrustedCacheEntries:
         bad = dict(good)
         if fault == "misshapen":
             bad[array] = good[array][:-1]
+        elif fault == "retyped":  # same shape, float indices or single-precision values
+            bad[array] = good[array].astype(np.float64 if array == "indices" else np.float32)
         else:
             del bad[array]
         with open(path, "wb") as fh:

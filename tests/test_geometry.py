@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 import diffal as da
 from diffal.cli import AUTO_T_GRID
 from diffal.geometry import (
-    density_descending_order,
     eigenvalue_powers,
     global_density_maximizer,
     nearest_denser_points,
@@ -14,6 +13,7 @@ from diffal.geometry import (
 )
 
 from conftest import brute_force_nearest_denser, build_graph_pieces
+from reference import pairwise_distances
 
 
 class TestDiffusionEmbed:
@@ -29,7 +29,7 @@ class TestDiffusionEmbed:
         _, _, _, spec = build_graph_pieces(pts, k=6, num_eigs=10)
         emb = da.diffusion_embed(spec, 1e6)
         assert np.max(np.abs(emb.coords[:, 1:])) < 1e-12
-        d = da.pairwise_diffusion_distances(emb)
+        d = pairwise_distances(emb.coords)
         assert np.max(d) < 1e-6
 
     def test_matches_matrix_power_oracle(self):
@@ -38,10 +38,11 @@ class TestDiffusionEmbed:
         emb = da.diffusion_embed(spec, 3.0)
         P3 = np.linalg.matrix_power(mc.transitions.toarray(), 3)
         pi = mc.stationary
+        d = pairwise_distances(emb.coords)
         for i in range(0, 50, 7):
             for j in range(0, 50, 5):
                 direct = np.sqrt((((P3[i] - P3[j]) ** 2) / pi).sum())
-                trunc = da.diffusion_distance(emb, i, j)
+                trunc = d[i, j]
                 assert abs(direct - trunc) <= 1e-8 * max(1.0, direct)
 
     def test_integer_t_with_negative_eigenvalue(self):
@@ -64,7 +65,7 @@ class TestDiffusionEmbed:
         emb = da.diffusion_embed(spec, t)
         assert np.array_equal(emb.coords, spec.basis * [1.0, 0.5**t])
         # D_t^2 = (lambda^2)^t (psi(0) - psi(1))^2 needs no sign of lambda
-        assert da.diffusion_distance(emb, 0, 1) == pytest.approx(np.sqrt(0.25**t * 4.0))
+        assert pairwise_distances(emb.coords)[0, 1] == pytest.approx(np.sqrt(0.25**t * 4.0))
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
@@ -90,8 +91,8 @@ class TestDiffusionEmbed:
             * 4.0
         )
         bound = np.sqrt(tail)
-        d_full = da.pairwise_diffusion_distances(full)
-        d_small = da.pairwise_diffusion_distances(small)
+        d_full = pairwise_distances(full.coords)
+        d_small = pairwise_distances(small.coords)
         assert np.max(np.abs(d_full - d_small)) <= bound + 1e-12
 
     def test_mean_distance_non_increasing_in_integer_t(self):
@@ -101,10 +102,8 @@ class TestDiffusionEmbed:
         pairs = rng.integers(0, 60, size=(40, 2))
         means = []
         for t in (1, 2, 3, 5, 8):
-            emb = da.diffusion_embed(spec, float(t))
-            means.append(
-                np.mean([da.diffusion_distance(emb, int(i), int(j)) for i, j in pairs])
-            )
+            d = pairwise_distances(da.diffusion_embed(spec, float(t)).coords)
+            means.append(np.mean(d[pairs[:, 0], pairs[:, 1]]))
         assert np.all(np.diff(means) <= 1e-12)
 
 
@@ -112,15 +111,9 @@ class TestDiffusionDistance:
     def test_metric_properties(self):
         rng = np.random.default_rng(35)
         _, _, _, spec = build_graph_pieces(rng.normal(size=(30, 3)), k=5, num_eigs=10)
-        emb = da.diffusion_embed(spec, 2.0)
-        for i in range(30):
-            assert da.diffusion_distance(emb, i, i) == 0.0
-        for _ in range(20):
-            i, j = rng.integers(0, 30, 2)
-            assert da.diffusion_distance(emb, int(i), int(j)) == da.diffusion_distance(
-                emb, int(j), int(i)
-            )
-        d = da.pairwise_diffusion_distances(emb)
+        d = pairwise_distances(da.diffusion_embed(spec, 2.0).coords)
+        assert np.all(np.diag(d) == 0.0)
+        assert np.array_equal(d, d.T)
         for a in range(30):
             for b in range(30):
                 for c in range(0, 30, 7):
@@ -283,9 +276,8 @@ class TestModeScores:
 
 
 class TestDensityOrderHelpers:
-    def test_density_order_ties_by_index(self):
+    def test_density_maximizer_ties_by_index(self):
         p = np.array([1.0, 3.0, 3.0, 0.5])
-        assert density_descending_order(p).tolist() == [1, 2, 0, 3]
         assert global_density_maximizer(p) == 1
 
 
@@ -318,7 +310,7 @@ class TestDiffusionDistanceAtEveryTime:
         emb = da.diffusion_embed(spec, t)
         dpsi = spec.basis[:, None, :] - spec.basis[None, :, :]
         want = np.sqrt(np.einsum("ijl,l->ij", dpsi**2, (spec.eigenvalues**2) ** t))
-        got = da.pairwise_diffusion_distances(emb)
+        got = pairwise_distances(emb.coords)
         # a coordinate difference rounds at the scale of the coordinates
         assert np.all(np.abs(got - want) <= 1e-12 * (want + np.abs(emb.coords).max()))
 

@@ -7,10 +7,11 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 import diffal as da
-from diffal.cache import read_arrays, write_arrays
+from diffal.cache import params_key, points_hash, read_arrays, write_arrays
 from diffal.graph import NumericalError, _symmetric_conjugate
 
 from conftest import brute_force_knn, build_graph_pieces
+from reference import pairwise_distances
 
 
 class TestKnnSearch:
@@ -233,8 +234,8 @@ class TestSpectralDecompose:
             stationary=spec.stationary,
         )
         emb2 = da.diffusion_embed(flipped, 2.0)
-        d1 = da.pairwise_diffusion_distances(emb)
-        d2 = da.pairwise_diffusion_distances(emb2)
+        d1 = pairwise_distances(emb.coords)
+        d2 = pairwise_distances(emb2.coords)
         assert np.allclose(d1, d2, atol=1e-12)
 
     def test_truncate_small_eigenvalues(self):
@@ -285,7 +286,7 @@ class TestCache:
         # the unreadable entries were overwritten and no temp file is left
         assert sorted(tmp_path.iterdir()) == entries
         cache = da.DiffusionCache(tmp_path)
-        key = da.content_key(cloud.points, kind="neighbors", k=6)
+        key = params_key(points_hash(cloud.points), kind="neighbors", k=6)
         assert np.array_equal(cache.load_neighbors(key, shape=(cloud.n, 6)).indices,
                               cold.neighbors.indices)
 
@@ -294,7 +295,7 @@ class TestCache:
         cloud = da.PointCloud(rng.normal(size=(30, 3)))
         nb = da.knn_search(cloud, 4)
         cache = da.DiffusionCache(tmp_path)
-        key = da.content_key(cloud.points, kind="neighbors", k=4)
+        key = params_key(points_hash(cloud.points), kind="neighbors", k=4)
         assert cache.load_neighbors(key, shape=(30, 4)) is None
         cache.save_neighbors(key, nb)
         loaded = cache.load_neighbors(key, shape=(30, 4))
@@ -306,8 +307,8 @@ class TestCache:
         _, _, mc, spec = build_graph_pieces(rng.normal(size=(40, 2)), k=5, num_eigs=6)
         cache = da.DiffusionCache(tmp_path)
         pts = rng.normal(size=(40, 2))
-        k1 = da.content_key(pts, kind="spectrum", k=5, sigma=0.5, num_eigs=6)
-        k2 = da.content_key(pts, kind="spectrum", k=5, sigma=0.6, num_eigs=6)
+        k1 = params_key(points_hash(pts), kind="spectrum", k=5, sigma=0.5, num_eigs=6)
+        k2 = params_key(points_hash(pts), kind="spectrum", k=5, sigma=0.6, num_eigs=6)
         assert k1 != k2
         cache.save_spectrum(k1, spec)
         loaded = cache.load_spectrum(k1, shape=(40, 6))

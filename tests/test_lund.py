@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import diffal as da
-from diffal.lund import save_diagnostics_csv
 
 from conftest import build_graph_pieces
 
@@ -265,14 +264,6 @@ class TestSeparationDiagnostics:
         assert diag.max_mode_density == 4.0
         with pytest.raises(da.DataError, match="no evaluable points"):
             da.separation_diagnostics(emb, dens, np.zeros_like(truth))
-
-    def test_csv(self, tmp_path):
-        emb, dens, truth = two_cluster_setup(seed=62)
-        diag = da.separation_diagnostics(emb, dens, truth)
-        path = tmp_path / "diag.csv"
-        save_diagnostics_csv(path, diag)
-        text = path.read_text()
-        assert "d_in" in text and "land_condition_holds" in text
 
 
 class TestPerfectRecoveryGuarantee:

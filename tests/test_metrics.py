@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import diffal as da
-from diffal.metrics import confusion_matrix
 
 
 class TestOverallAccuracy:
@@ -85,18 +84,6 @@ class TestCohensKappa:
         assert da.cohens_kappa(pred, truth) < 1.0
 
 
-class TestConfusionMatrix:
-    def test_counts_sum_to_evaluable(self):
-        cm = confusion_matrix([1, 2, 2, 3], [1, 2, 0, 2])
-        assert cm.n_eval == 3
-        assert cm.counts.sum() == 3
-
-    def test_square_over_joint_alphabet(self):
-        cm = confusion_matrix([5, 5], [1, 2])
-        assert cm.counts.shape == (3, 3)
-        assert cm.class_ids.tolist() == [1, 2, 5]
-
-
 class TestAlignLabels:
     def test_swapped_names(self):
         truth = np.array([1, 1, 2, 2])
@@ -160,20 +147,6 @@ class TestPurity:
         truth_renamed = np.array([{1: 3, 2: 1, 3: 2}[t] for t in truth])
         assert da.purity(renamed, truth) == base
         assert da.purity(clustering, truth_renamed) == base
-
-    def test_curve(self):
-        truth = np.array([1, 1, 2, 2])
-        family = [np.array([1, 1, 1, 1]), np.array([1, 1, 2, 2])]
-        assert da.purity_curve(family, truth).tolist() == [0.5, 1.0]
-
-    def test_identical_families_identical_curves(self):
-        rng = np.random.default_rng(96)
-        truth = rng.integers(1, 4, size=30)
-        family_a = [rng.integers(1, k + 2, size=30) for k in range(5)]
-        family_b = [arr.copy() for arr in family_a]
-        assert np.array_equal(
-            da.purity_curve(family_a, truth), da.purity_curve(family_b, truth)
-        )
 
 
 class TestMetricInvariances:

@@ -130,7 +130,8 @@ class TestUntrustedRhoEntries:
 
     @pytest.mark.parametrize("fault", ["truncated", "stale", "misshapen rho",
                                        "misshapen nearest_higher", "missing rho",
-                                       "missing nearest_higher"])
+                                       "missing nearest_higher", "retyped rho",
+                                       "retyped nearest_higher"])
     def test_untrusted_entry_is_a_miss_and_overwritten(self, tmp_path, searches, fault):
         _, want = self._model(tmp_path).scores_at(self.T)
         (path,) = tmp_path.glob("rho_*.bin")
@@ -145,6 +146,9 @@ class TestUntrustedRhoEntries:
                 bad["format_version"] = good["format_version"] + 1
             elif how == "misshapen":
                 bad[array] = good[array][:-1]
+            elif how == "retyped":  # same shape, float indices or single-precision rho
+                bad[array] = good[array].astype(np.float64 if array == "nearest_higher"
+                                                else np.float32)
             else:
                 del bad[array]
             with open(path, "wb") as fh:

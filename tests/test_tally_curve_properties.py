@@ -2,11 +2,11 @@
 merges agree bit for bit with the per-row and per-level paths.
 
 `reference_average_accuracy` is the per-class recall loop and
-`reference_kappa` reads the confusion-matrix marginals.  The dendrogram
-curve is checked against `purity` of every `cut_sequence` cut, the LUND
-curve against `purity` of every `lund_k` labeling, on hand-built forests
-whose roots may sit anywhere in the mode-score order.  Values are compared
-through repr(float(x)).
+`reference_kappa` reads the marginals of its own confusion matrix.  The
+dendrogram curve is checked against `purity` of every `reference_cuts` cut,
+the LUND curve against `purity` of every `lund_k` labeling, on hand-built
+forests whose roots may sit anywhere in the mode-score order.  Values are
+compared through repr(float(x)).
 """
 
 import warnings
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import diffal as da
 from diffal.metrics import _evaluable, _kappa
 
+from reference import reference_cuts
 from test_cbal_purity_properties import LABEL_IDS
 from test_linkage_properties import grid_points
 
@@ -35,10 +36,13 @@ def reference_average_accuracy(pred, truth):
 
 
 def reference_kappa(pred, truth):
-    cm = da.confusion_matrix(pred, truth)
-    n = cm.n_eval
-    p_o = float(np.trace(cm.counts)) / n
-    p_e = float(cm.counts.sum(axis=1) @ cm.counts.sum(axis=0)) / (n * n)
+    p, t = _evaluable(pred, truth)
+    ids = np.union1d(p, t)
+    counts = np.zeros((ids.size, ids.size), dtype=np.int64)  # truth x prediction
+    np.add.at(counts, (np.searchsorted(ids, t), np.searchsorted(ids, p)), 1)
+    n = t.size
+    p_o = float(np.trace(counts)) / n
+    p_e = float(counts.sum(axis=1) @ counts.sum(axis=0)) / (n * n)
     if p_e == 1.0:
         if p_o == 1.0:
             return 1.0
@@ -113,7 +117,7 @@ def dendrogram_cases(draw):
 def test_cut_purity_curve_equals_purity_of_each_cut(case):
     points, truth, levels, method = case
     dend = da.linkage(da.PointCloud(points), method)
-    want = [da.purity(labels, truth) for labels in da.cut_sequence(dend, levels)]
+    want = [da.purity(labels, truth) for labels in reference_cuts(dend, levels)]
     same(da.cut_purity_curve(dend, levels, truth), want)
 
 
