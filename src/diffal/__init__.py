@@ -33,7 +33,6 @@ from .geometry import (
     nearest_denser_points,
 )
 from .graph import (
-    MarkovChain,
     NeighborLists,
     NumericalError,
     SparseKernelMatrix,
@@ -43,7 +42,6 @@ from .graph import (
     default_sigma,
     kernel_matrix,
     knn_search,
-    markov_normalize,
     spectral_decompose,
     truncate_small_eigenvalues,
 )

@@ -439,8 +439,6 @@ def _add_input_flags(sub) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _cfg_from_args(args)
-    if cfg["dataset"] not in GENERATORS:
-        raise ConfigError(f"gen-data needs a generator dataset, got {cfg['dataset']!r}")
     _make_dirs(args.out)
     cloud, truth, _ = resolve_dataset(cfg)
     if cfg["dataset"] == "hierarchical":

@@ -53,10 +53,15 @@ def gen_gaussians(means, stddev: float, sizes, seed: int) -> tuple[PointCloud, n
     rng = np.random.default_rng(seed)
     blocks = []
     labels = []
-    for k, (mean, size) in enumerate(zip(means, sizes), start=1):
-        blocks.append(mean + stddev * rng.standard_normal((int(size), dim)))
-        labels.append(np.full(int(size), k, dtype=np.int64))
-    return PointCloud(np.vstack(blocks)), np.concatenate(labels)
+    with np.errstate(over="ignore"):
+        for k, (mean, size) in enumerate(zip(means, sizes), start=1):
+            blocks.append(mean + stddev * rng.standard_normal((int(size), dim)))
+            labels.append(np.full(int(size), k, dtype=np.int64))
+    points = np.vstack(blocks)
+    if not np.all(np.isfinite(points)):
+        raise ValueError(f"stddev {stddev:g} with means {[m.tolist() for m in means]} "
+                         "overflows to a non-finite point")
+    return PointCloud(points), np.concatenate(labels)
 
 
 def gen_hierarchical(

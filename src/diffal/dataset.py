@@ -85,6 +85,12 @@ def _check_count(name: str, value: int, n: int) -> None:
         raise ValueError(f"need 1 <= {name} <= n, got {name}={value}, n={n}")
 
 
+def _check_positive(name: str, value: float) -> None:
+    """The rule for a kernel bandwidth: positive, so NaN fails too."""
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def _check_levels(levels, n: int) -> list:
     levels = list(levels)
     for ell in levels:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _check_positive
 from .graph import NeighborLists, SpectralDecomposition, _exact_search, _tree_proposer
 
 
@@ -36,11 +37,9 @@ class DiffusionEmbedding:
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """Unnormalized Gaussian-kernel density over the k_density nearest neighbors."""
+    """Unnormalized Gaussian-kernel density over each point's listed neighbors."""
 
     p: np.ndarray
-    k_density: int
-    sigma0: float
 
     @property
     def n(self) -> int:
@@ -85,20 +84,15 @@ def diffusion_embed(spec: SpectralDecomposition, t: float) -> DiffusionEmbedding
     return DiffusionEmbedding(coords=coords, t=float(t))
 
 
-def kde(neighbors: NeighborLists, k_density: int, sigma0: float) -> DensityEstimate:
-    """p(x) = sum over the k_density nearest neighbors of exp(-dist^2/sigma0^2).
+def kde(neighbors: NeighborLists, sigma0: float) -> DensityEstimate:
+    """p(x) = sum over the k listed neighbors of exp(-dist^2/sigma0^2).
 
-    Reads the first k_density columns of the neighbor lists, so the point
-    itself is excluded; no normalization is applied (downstream use only
-    depends on relative values).
+    The lists exclude the point itself; no normalization is applied
+    (downstream use only depends on relative values).
     """
-    if not sigma0 > 0:
-        raise ValueError(f"sigma0 must be positive, got {sigma0}")
-    if not 1 <= k_density <= neighbors.k:
-        raise ValueError(f"need 1 <= k_density <= k, got k_density={k_density}, k={neighbors.k}")
-    dist = neighbors.distances[:, :k_density]
-    p = np.exp(-((dist / sigma0) ** 2)).sum(axis=1)
-    return DensityEstimate(p=p, k_density=int(k_density), sigma0=float(sigma0))
+    _check_positive("sigma0", sigma0)
+    p = np.exp(-((neighbors.distances / sigma0) ** 2)).sum(axis=1)
+    return DensityEstimate(p=p)
 
 
 def global_density_maximizer(p: np.ndarray) -> int:

@@ -1,9 +1,9 @@
-"""kNN kernel graph, Markov normalization, and truncated spectral decomposition.
+"""kNN kernel graph and truncated spectral decomposition of its diffusion.
 
-The graph is built in four steps: exact k-nearest-neighbor lists, a sparse
-Gaussian kernel matrix symmetrized by entrywise max, row-stochastic
-normalization P = D^(-1) W, and the top eigenpairs of the symmetric
-conjugate D^(-1/2) W D^(-1/2) converted to right eigenvectors of P.
+The graph is built in three steps: exact k-nearest-neighbor lists, a sparse
+Gaussian kernel matrix W symmetrized by entrywise max, and the top
+eigenpairs of the symmetric conjugate D^(-1/2) W D^(-1/2), with D the
+degrees, converted to right eigenvectors of the diffusion P = D^(-1) W.
 
 The eigensolver is chosen from the graph's shape, with no knob: a dense solve
 for small n; shift-invert Lanczos where the kNN graph grows like a plane
@@ -45,7 +45,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 from scipy.spatial import cKDTree
 
-from .dataset import PointCloud, _check_count
+from .dataset import PointCloud, _check_count, _check_positive
 
 # Rows per block of a neighbor search are chosen so the (rows, candidates,
 # dimension) difference array holds about this many elements (32 MiB).
@@ -77,24 +77,10 @@ class SparseKernelMatrix:
     """Symmetric sparse kernel weights in [0, 1] with unit diagonal."""
 
     weights: sparse.csr_matrix
-    sigma: float
 
     @property
     def n(self) -> int:
         return self.weights.shape[0]
-
-
-@dataclass(frozen=True)
-class MarkovChain:
-    """Row-stochastic transition matrix with degrees and stationary distribution."""
-
-    transitions: sparse.csr_matrix  # P = D^{-1} W
-    degrees: np.ndarray             # d_i = sum_j W_ij
-    stationary: np.ndarray          # pi_i = d_i / sum_j d_j
-
-    @property
-    def n(self) -> int:
-        return self.transitions.shape[0]
 
 
 @dataclass(frozen=True)
@@ -288,8 +274,7 @@ def kernel_matrix(nb: NeighborLists, sigma: float) -> SparseKernelMatrix:
     The matrix is symmetrized by entrywise max (one-sided edges keep the
     kernel value) and the diagonal is set to 1, the kernel at distance 0.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    _check_positive("sigma", sigma)
     n, k = nb.n, nb.k
     vals = np.exp(-((nb.distances / sigma) ** 2)).ravel()
     rows = np.repeat(np.arange(n, dtype=np.int64), k)
@@ -297,26 +282,21 @@ def kernel_matrix(nb: NeighborLists, sigma: float) -> SparseKernelMatrix:
     W = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     W = W.maximum(W.T)
     W = W.maximum(sparse.identity(n, format="csr"))
-    return SparseKernelMatrix(weights=W, sigma=float(sigma))
+    return SparseKernelMatrix(weights=W)
 
 
-def markov_normalize(W: SparseKernelMatrix) -> MarkovChain:
-    """Row-normalize the kernel: P_ij = W_ij / d_i, stationary pi = d / sum(d)."""
+def _symmetric_conjugate(W: SparseKernelMatrix) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """(S, d): S = D^(1/2) P D^(-1/2) = D^(-1/2) W D^(-1/2) for the degrees d,
+    formed in that order, with its transpose averaged in against rounding."""
     weights = W.weights
     degrees = np.asarray(weights.sum(axis=1)).ravel()
     if np.any(degrees <= 0):
         bad = int(np.argmax(degrees <= 0))
         raise ValueError(f"vertex {bad} has non-positive degree {degrees[bad]}")
-    P = sparse.csr_matrix(weights.multiply(1.0 / degrees[:, None]))
-    stationary = degrees / degrees.sum()
-    return MarkovChain(transitions=P, degrees=degrees, stationary=stationary)
-
-
-def _symmetric_conjugate(mc: MarkovChain) -> sparse.csr_matrix:
-    # S = D^{1/2} P D^{-1/2} = D^{-1/2} W D^{-1/2}; symmetrize away rounding.
-    sqrt_d = np.sqrt(mc.degrees)
-    S = sparse.csr_matrix(mc.transitions.multiply(sqrt_d[:, None]).multiply(1.0 / sqrt_d[None, :]))
-    return (S + S.T) * 0.5
+    sqrt_d = np.sqrt(degrees)
+    P = weights.multiply(1.0 / degrees[:, None])
+    S = sparse.csr_matrix(P.multiply(sqrt_d[:, None]).multiply(1.0 / sqrt_d[None, :]))
+    return (S + S.T) * 0.5, degrees
 
 
 _DENSE_EIG_CUTOFF = 300
@@ -532,10 +512,11 @@ def _sparse_eigensolve(S, num_eigs: int, v0: np.ndarray):
     return vals, vecs
 
 
-def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
-    """Top num_eigs eigenpairs of P by eigenvalue modulus.
+def spectral_decompose(W: SparseKernelMatrix, num_eigs: int) -> SpectralDecomposition:
+    """Top num_eigs eigenpairs of the diffusion P = D^(-1) W by eigenvalue modulus.
 
-    Solved through the symmetric conjugate S = D^(-1/2) W D^(-1/2).  The
+    Solved through the symmetric conjugate S = D^(-1/2) W D^(-1/2), with D
+    the degrees; a vertex of non-positive degree is a ValueError.  The
     dense symmetric solver runs when n is small or nearly all eigenpairs are
     requested.  Otherwise the two-hop growth of S's pattern picks the sparse
     solver: on a planar-like graph (growth at most 4) shift-invert Lanczos,
@@ -544,7 +525,7 @@ def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
     for the top pairs by modulus, negative ones included.  Every path solves
     to machine precision, and the returned pairs are checked: a residual
     ||S v - lambda v|| above 1e-8 raises NumericalError.  Eigenvectors are
-    converted to right eigenvectors of P by dividing by sqrt(stationary).
+    converted to right eigenvectors of P by dividing by sqrt(d / sum(d)).
 
     Completeness is proved on the dense path, where every pair is computed,
     and on the shift-invert path, where an inertia count of the eigenvalues
@@ -555,9 +536,9 @@ def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
     matrix, so a copy of a repeated eigenvalue that single-vector Lanczos
     misses goes unnoticed, and the next eigenpair takes its place.
     """
-    n = mc.n
+    n = W.n
     _check_count("num_eigs", num_eigs, n)
-    S = _symmetric_conjugate(mc)
+    S, degrees = _symmetric_conjugate(W)
     if n <= _DENSE_EIG_CUTOFF or 2 * num_eigs + 2 > n:
         evals, evecs = scipy.linalg.eigh(S.toarray())
     else:
@@ -589,7 +570,8 @@ def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
             stacklevel=2,
         )
 
-    psi = evecs / np.sqrt(mc.stationary)[:, None]
+    stationary = degrees / degrees.sum()
+    psi = evecs / np.sqrt(stationary)[:, None]
     # pi-weighted normalization: sum_i pi_i psi^2 = 1 iff the conjugate
     # eigenvector has unit 2-norm, which eigh/eigsh already guarantee.
     for col in range(psi.shape[1]):
@@ -599,7 +581,7 @@ def spectral_decompose(mc: MarkovChain, num_eigs: int) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=evals,
         basis=np.ascontiguousarray(psi),
-        stationary=mc.stationary.copy(),
+        stationary=stationary,
     )
 
 

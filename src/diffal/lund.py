@@ -43,7 +43,6 @@ class SeparationDiagnostics:
 
     d_in: float
     d_btw: float
-    class_ids: np.ndarray
     maximizer_indices: np.ndarray
     max_mode_density: float
     min_mode_density: float
@@ -252,7 +251,6 @@ def separation_diagnostics(emb: DiffusionEmbedding, dens: DensityEstimate,
     return SeparationDiagnostics(
         d_in=d_in,
         d_btw=d_btw,
-        class_ids=classes,
         maximizer_indices=index[maximizers],
         max_mode_density=max_mode,
         min_mode_density=min_mode,

@@ -1,7 +1,7 @@
 """End-to-end assembly: point cloud -> diffusion model -> per-t scores.
 
-The expensive, t-independent work (neighbor search, kernel, Markov chain,
-spectral decomposition, density estimate) is bundled in a DiffusionModel;
+The expensive, t-independent work (neighbor search, kernel, spectral
+decomposition of its diffusion, density estimate) is bundled in a DiffusionModel;
 per-t embeddings and mode scores are derived from it cheaply, so t sweeps
 reuse one decomposition.  Every t >= 0 has an embedding (column weights
 |lambda|^t); only a t at which every non-Perron weight underflows to 0
@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from .cache import DiffusionCache, NearestDenser, params_key, points_hash
-from .dataset import DataError, PointCloud, _DataValueError, _check_count
+from .dataset import DataError, PointCloud, _DataValueError, _check_count, _check_positive
 from .geometry import (
     DensityEstimate,
     DiffusionEmbedding,
@@ -41,7 +41,6 @@ from .graph import (
     default_sigma,
     kernel_matrix,
     knn_search,
-    markov_normalize,
     spectral_decompose,
     truncate_small_eigenvalues,
 )
@@ -119,6 +118,9 @@ def build_model(
     if num_eigs is None:
         num_eigs = default_num_eigs(n)
     _check_count("num_eigs", num_eigs, n)
+    for name, value in (("sigma", sigma), ("sigma0", sigma0)):
+        if value is not None:
+            _check_positive(name, value)
 
     cache = DiffusionCache(cache_dir) if cache_dir is not None else None
     points_state = points_hash(cloud.points) if cache is not None else None
@@ -149,12 +151,12 @@ def build_model(
 
     spectrum = cached(
         "spectrum", (n, num_eigs),
-        lambda: spectral_decompose(markov_normalize(kernel_matrix(neighbors, sigma)), num_eigs),
+        lambda: spectral_decompose(kernel_matrix(neighbors, sigma), num_eigs),
         k=k, sigma=sigma, num_eigs=num_eigs, solver=EIGENSOLVER_VERSION,
     )
     spectrum = truncate_small_eigenvalues(spectrum)
 
-    density = kde(neighbors, k, sigma0)
+    density = kde(neighbors, sigma0)
     return DiffusionModel(
         cloud=cloud,
         neighbors=neighbors,

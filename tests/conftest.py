@@ -25,13 +25,12 @@ def _quiet_connectivity_warnings():
 
 
 def build_graph_pieces(points, k, num_eigs=None):
-    """knn -> kernel -> markov -> spectrum for raw coordinates."""
+    """knn -> kernel -> spectrum for raw coordinates."""
     cloud = da.PointCloud(np.asarray(points, dtype=float))
     nb = da.knn_search(cloud, k)
-    sigma = da.default_sigma(nb)
-    mc = da.markov_normalize(da.kernel_matrix(nb, sigma))
-    spec = da.spectral_decompose(mc, num_eigs if num_eigs is not None else cloud.n)
-    return cloud, nb, mc, spec
+    W = da.kernel_matrix(nb, da.default_sigma(nb))
+    spec = da.spectral_decompose(W, num_eigs if num_eigs is not None else cloud.n)
+    return cloud, nb, W, spec
 
 
 def brute_force_knn(points, k):

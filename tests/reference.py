@@ -1,6 +1,7 @@
 """Test-only references that several test modules compare the library against."""
 
 import numpy as np
+import scipy.sparse as sparse
 
 
 def reference_cuts(dend, levels):
@@ -26,3 +27,11 @@ def pairwise_distances(coords):
     with an exactly zero diagonal."""
     diff = coords[:, None, :] - coords[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+
+
+def transition_matrix(W):
+    """(P, stationary) of a kernel matrix: the paper's diffusion
+    P = D^(-1) W as CSR, and pi = d / sum(d) for the degrees d."""
+    degrees = np.asarray(W.weights.sum(axis=1)).ravel()
+    P = sparse.csr_matrix(W.weights.multiply(1.0 / degrees[:, None]))
+    return P, degrees / degrees.sum()

@@ -14,6 +14,7 @@ from scipy.spatial.distance import pdist
 import diffal as da
 
 from conftest import brute_force_nearest_denser
+from reference import transition_matrix
 
 
 def _report(name, ok, detail=""):
@@ -82,10 +83,11 @@ def test_criterion_2_spectral_oracle_equivalence():
         pts = rng.normal(size=(n, int(rng.integers(2, 6))))
         cloud = da.PointCloud(pts)
         nb = da.knn_search(cloud, min(8, n - 1))
-        mc = da.markov_normalize(da.kernel_matrix(nb, da.default_sigma(nb)))
-        spec = da.spectral_decompose(mc, n)
-        P = mc.transitions.toarray()
-        inv_sqrt_pi = 1.0 / np.sqrt(mc.stationary)
+        W = da.kernel_matrix(nb, da.default_sigma(nb))
+        spec = da.spectral_decompose(W, n)
+        P, pi = transition_matrix(W)
+        P = P.toarray()
+        inv_sqrt_pi = 1.0 / np.sqrt(pi)
         for t in (1, 2, 5):
             Pt = np.linalg.matrix_power(P, t)
             direct = pdist(Pt * inv_sqrt_pi[None, :])
@@ -125,7 +127,7 @@ def test_criterion_3_nearest_denser_matches_quadratic_scan():
             emb, _ = model.scores_at(100.0)
             coords, p = emb.coords, model.density.p
         emb = da.DiffusionEmbedding(coords=np.asarray(coords, dtype=float), t=1.0)
-        dens = da.DensityEstimate(p=np.asarray(p, dtype=float), k_density=1, sigma0=1.0)
+        dens = da.DensityEstimate(p=np.asarray(p, dtype=float))
         got_rho, got_nh = da.nearest_denser_points(emb, dens)
         exp_rho, exp_nh = brute_force_nearest_denser(coords, p)
         assert np.array_equal(got_rho, exp_rho), f"trial {trial}: rho values differ"

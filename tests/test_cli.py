@@ -65,6 +65,10 @@ class TestGenData:
         ["gaussians", "--stddev", "inf"],
         ["gaussians", "--means", "nan,0;5,5", "--sizes", "10,10"],
         ["hierarchical", "--stddev", "nan"],
+        # finite values whose points overflow
+        ["gaussians", "--stddev", "1e308"],
+        ["gaussians", "--means", "1.79e308,0;0,0", "--sizes", "10,10", "--stddev", "1e306"],
+        ["hierarchical", "--stddev", "1e308"],
     ])
     def test_non_finite_generator_value_is_a_config_error(self, tmp_path, capsys, args):
         assert run_cli("gen-data", "--dataset", *args, "--out", str(tmp_path / "ds")) == 2
@@ -1112,6 +1116,24 @@ def test_count_and_truth_flag_errors_fail_before_the_graph(
     assert code == 2
     assert err.startswith("config error:") and message in err and "\n" not in err
     assert builds == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--sigma", "--sigma0"])
+@pytest.mark.parametrize("value", ["-1", "0", "nan"])
+def test_bandwidth_that_is_not_positive_fails_before_the_graph(
+        small_dataset, tmp_path, capsys, monkeypatch, flag, value):
+    points, _, _, _ = small_dataset
+    searches = []
+    monkeypatch.setattr(pipeline, "knn_search", lambda *args: searches.append(args))
+    cache = tmp_path / "cache"
+    out = tmp_path / "labels.txt"
+    assert run_cli("lund", "--data", str(points), "--t", "10", flag, value,
+                   "--cache", str(cache), "--out", str(out)) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"config error: {flag[2:]} must be positive, got {float(value)}"
+    assert searches == []
+    assert not cache.exists() or list(cache.iterdir()) == []
     assert not out.exists()
 
 

@@ -16,13 +16,15 @@ from diffal.cache import params_key, points_hash, read_arrays, write_arrays
 from diffal.cli import main
 from diffal.graph import _PLANAR_GROWTH, _symmetric_conjugate, _two_hop_growth
 
+from reference import transition_matrix
+
 NUM_EIGS = 25
 
 
-def _chain(points, k=20):
+def _kernel(points, k=20):
     cloud = da.PointCloud(np.asarray(points, dtype=float))
     nb = da.knn_search(cloud, k)
-    return da.markov_normalize(da.kernel_matrix(nb, da.default_sigma(nb)))
+    return da.kernel_matrix(nb, da.default_sigma(nb))
 
 
 def _cloud(dim, n=600, seed=40):
@@ -43,24 +45,24 @@ def _spy_shift_invert(monkeypatch):
 
 class TestPathChoice:
     def test_planar_cloud_takes_shift_invert(self, monkeypatch):
-        mc = _chain(_cloud(2))
-        assert _two_hop_growth(_symmetric_conjugate(mc)) <= _PLANAR_GROWTH
+        W = _kernel(_cloud(2))
+        assert _two_hop_growth(_symmetric_conjugate(W)[0]) <= _PLANAR_GROWTH
         calls = _spy_shift_invert(monkeypatch)
-        da.spectral_decompose(mc, NUM_EIGS)
+        da.spectral_decompose(W, NUM_EIGS)
         assert calls == [NUM_EIGS]
 
     def test_five_dimensional_cloud_takes_plain_lanczos(self, monkeypatch):
-        mc = _chain(_cloud(5))
-        assert _two_hop_growth(_symmetric_conjugate(mc)) > _PLANAR_GROWTH
+        W = _kernel(_cloud(5))
+        assert _two_hop_growth(_symmetric_conjugate(W)[0]) > _PLANAR_GROWTH
         calls = _spy_shift_invert(monkeypatch)
-        da.spectral_decompose(mc, NUM_EIGS)
+        da.spectral_decompose(W, NUM_EIGS)
         assert calls == []
 
     @pytest.mark.parametrize("dim", [2, 5])
     def test_matches_dense_eigh(self, dim):
-        mc = _chain(_cloud(dim))
-        spec = da.spectral_decompose(mc, NUM_EIGS)
-        S = _symmetric_conjugate(mc)
+        W = _kernel(_cloud(dim))
+        spec = da.spectral_decompose(W, NUM_EIGS)
+        S = _symmetric_conjugate(W)[0]
         evals, evecs = scipy.linalg.eigh(S.toarray())
         order = np.lexsort((-evals, -np.abs(evals)))
         assert np.max(np.abs(spec.eigenvalues - evals[order[:NUM_EIGS]])) <= 1e-10
@@ -71,7 +73,7 @@ class TestPathChoice:
         gaps[np.arange(NUM_EIGS), order[:NUM_EIGS]] = np.inf
         simple = gaps.min(axis=1) > 1e-6
         assert simple.sum() >= NUM_EIGS // 2
-        want = evecs[:, order[:NUM_EIGS]] / np.sqrt(mc.stationary)[:, None]
+        want = evecs[:, order[:NUM_EIGS]] / np.sqrt(transition_matrix(W)[1])[:, None]
         want *= np.sign(np.sum(want * spec.basis, axis=0))[None, :]
         assert np.max(np.abs(spec.basis[:, simple] - want[:, simple])) <= 1e-8
 
@@ -82,15 +84,15 @@ class TestPathChoice:
     def test_disconnected_non_planar_graph_warns(self):
         rng = np.random.default_rng(41)
         pts = np.vstack([rng.normal(size=(300, 5)), 100.0 + rng.normal(size=(300, 5))])
-        mc = _chain(pts, k=10)
-        assert _two_hop_growth(_symmetric_conjugate(mc)) > _PLANAR_GROWTH
+        W = _kernel(pts, k=10)
+        assert _two_hop_growth(_symmetric_conjugate(W)[0]) > _PLANAR_GROWTH
         with pytest.warns(UserWarning, match="appears disconnected"):
-            spec = da.spectral_decompose(mc, NUM_EIGS)
+            spec = da.spectral_decompose(W, NUM_EIGS)
         assert np.sum(np.abs(spec.eigenvalues - 1.0) < 1e-8) >= 2
 
 
-def _assert_top_pairs_match_dense(mc, spec):
-    evals = scipy.linalg.eigh(_symmetric_conjugate(mc).toarray(), eigvals_only=True)
+def _assert_top_pairs_match_dense(W, spec):
+    evals = scipy.linalg.eigh(_symmetric_conjugate(W)[0].toarray(), eigvals_only=True)
     order = np.lexsort((-evals, -np.abs(evals)))
     assert np.max(np.abs(spec.eigenvalues - evals[order[:NUM_EIGS]])) <= 1e-10
 
@@ -124,20 +126,20 @@ class TestCompleteness:
         rng = np.random.default_rng(0)
         angle = np.arange(6) * np.pi / 3
         far = 12.0 * np.stack([np.cos(angle), np.sin(angle)], axis=1)
-        mc = _chain(np.vstack([rng.normal(size=(400, 2)), far]))
-        assert mc.transitions[400:, :400].max() < 1e-17
-        assert _two_hop_growth(_symmetric_conjugate(mc)) <= _PLANAR_GROWTH
+        W = _kernel(np.vstack([rng.normal(size=(400, 2)), far]))
+        assert transition_matrix(W)[0][400:, :400].max() < 1e-17
+        assert _two_hop_growth(_symmetric_conjugate(W)[0]) <= _PLANAR_GROWTH
         with pytest.warns(UserWarning, match="appears disconnected"):
-            spec = da.spectral_decompose(mc, NUM_EIGS)
+            spec = da.spectral_decompose(W, NUM_EIGS)
         assert np.sum(spec.eigenvalues >= 1.0 - 1e-12) == 7
-        _assert_top_pairs_match_dense(mc, spec)
+        _assert_top_pairs_match_dense(W, spec)
 
     def test_a_missed_pair_is_recovered_in_one_round(self, monkeypatch):
-        mc = _chain(_cloud(2))
+        W = _kernel(_cloud(2))
         calls = _spy_shift_invert_solves(monkeypatch, drop_first_top=True)
-        spec = da.spectral_decompose(mc, NUM_EIGS)
+        spec = da.spectral_decompose(W, NUM_EIGS)
         assert calls == [NUM_EIGS, 1]
-        _assert_top_pairs_match_dense(mc, spec)
+        _assert_top_pairs_match_dense(W, spec)
 
     @pytest.mark.parametrize("excess, message, solves", [
         # every round finds the next pair, which lies below mu
@@ -151,7 +153,7 @@ class TestCompleteness:
         monkeypatch.setattr(graph, "_count_above", lambda S, mu: real(S, mu) + excess)
         calls = _spy_shift_invert_solves(monkeypatch)
         with pytest.raises(da.NumericalError, match=message):
-            da.spectral_decompose(_chain(_cloud(2)), NUM_EIGS)
+            da.spectral_decompose(_kernel(_cloud(2)), NUM_EIGS)
         assert calls == solves
 
         points = tmp_path / "points.csv"
@@ -168,7 +170,7 @@ class TestCompleteness:
 @given(st.integers(0, 2**32 - 1), st.integers(20, 80), st.integers(1, 3),
        st.integers(2, 8), st.floats(-1.0, 1.0))
 def test_inertia_count_equals_dense_count(seed, n, dim, k, mu):
-    S = _symmetric_conjugate(_chain(np.random.default_rng(seed).normal(size=(n, dim)), k=k))
+    S = _symmetric_conjugate(_kernel(np.random.default_rng(seed).normal(size=(n, dim)), k=k))[0]
     evals = scipy.linalg.eigh(S.toarray(), eigvals_only=True)
     assume(np.min(np.abs(evals - mu)) > 1e-8)
     assert graph._count_above(S, mu) == np.count_nonzero(evals > mu)
@@ -182,14 +184,14 @@ def _perturb_first_eigenvalue(vals, vecs):
 
 class TestResidualCheck:
     def test_wrong_plain_lanczos_pair_is_a_numerical_error(self, monkeypatch):
-        mc = _chain(_cloud(5))
+        W = _kernel(_cloud(5))
         real = graph.splinalg.eigsh
         monkeypatch.setattr(
             graph.splinalg, "eigsh",
             lambda *args, **kwargs: _perturb_first_eigenvalue(*real(*args, **kwargs)),
         )
         with pytest.raises(da.NumericalError, match="residual"):
-            da.spectral_decompose(mc, NUM_EIGS)
+            da.spectral_decompose(W, NUM_EIGS)
 
     def test_wrong_shift_invert_pair_exits_4(self, monkeypatch, tmp_path, capsys):
         real = graph._sparse_eigensolve
@@ -350,20 +352,20 @@ class TestHandover:
         ({"shift": _out_of_memory}, ["shift", "plain"]),
     ])
     def test_every_outcome_matches_dense_eigh(self, monkeypatch, faults, want):
-        mc = _chain(_cloud(2))
+        W = _kernel(_cloud(2))
         calls = self._record_eigsh(monkeypatch, **faults)
-        spec = da.spectral_decompose(mc, NUM_EIGS)
+        spec = da.spectral_decompose(W, NUM_EIGS)
         assert calls == want
-        _assert_top_pairs_match_dense(mc, spec)
+        _assert_top_pairs_match_dense(W, spec)
 
     def test_a_count_that_cannot_be_read_hands_over(self, monkeypatch):
         # a pivot off the diagonal: the factor is no congruence
-        mc = _chain(_cloud(2))
+        W = _kernel(_cloud(2))
         monkeypatch.setattr(graph, "_count_above", lambda S, mu: None)
         calls = self._record_eigsh(monkeypatch)
-        spec = da.spectral_decompose(mc, NUM_EIGS)
+        spec = da.spectral_decompose(W, NUM_EIGS)
         assert calls == ["shift", "probe", "plain"]
-        _assert_top_pairs_match_dense(mc, spec)
+        _assert_top_pairs_match_dense(W, spec)
 
     @pytest.mark.parametrize("dim, want", [(2, ["shift", "plain"]), (5, ["plain"])])
     def test_plain_lanczos_without_convergence_exits_4(

@@ -11,7 +11,7 @@ from diffal.cache import params_key, points_hash, read_arrays, write_arrays
 from diffal.graph import NumericalError, _symmetric_conjugate
 
 from conftest import brute_force_knn, build_graph_pieces
-from reference import pairwise_distances
+from reference import pairwise_distances, transition_matrix
 
 
 class TestKnnSearch:
@@ -100,60 +100,63 @@ class TestKernelMatrix:
             da.kernel_matrix(nb, 0.0)
 
 
-class TestMarkovNormalize:
+def _kernel(A):
+    return da.SparseKernelMatrix(weights=sparse.csr_matrix(A))
+
+
+class TestDegreesAndStationary:
     def test_two_state_all_ones(self):
-        W = da.SparseKernelMatrix(
-            weights=sparse.csr_matrix(np.ones((2, 2))), sigma=1.0
-        )
-        mc = da.markov_normalize(W)
-        assert np.allclose(mc.transitions.toarray(), 0.5)
-        assert np.allclose(mc.stationary, [0.5, 0.5])
+        spec = da.spectral_decompose(_kernel(np.ones((2, 2))), 2)
+        assert np.allclose(spec.stationary, [0.5, 0.5])
 
     def test_diagonal_only(self):
-        W = da.SparseKernelMatrix(weights=sparse.identity(4, format="csr"), sigma=1.0)
-        mc = da.markov_normalize(W)
-        assert np.allclose(mc.transitions.toarray(), np.eye(4))
-        assert np.allclose(mc.stationary, 0.25)
+        spec = da.spectral_decompose(_kernel(np.eye(4)), 4)
+        assert np.allclose(spec.stationary, 0.25)
 
-    def test_random_symmetric_stochastic_and_stationary(self):
+    def test_random_symmetric_stationary(self):
         rng = np.random.default_rng(14)
         A = rng.uniform(0.1, 1.0, size=(10, 10))
         A = (A + A.T) / 2
-        mc = da.markov_normalize(
-            da.SparseKernelMatrix(weights=sparse.csr_matrix(A), sigma=1.0)
-        )
-        rows = np.asarray(mc.transitions.sum(axis=1)).ravel()
-        assert np.max(np.abs(rows - 1.0)) <= 1e-12
-        pi = mc.stationary
-        assert np.max(np.abs(pi @ mc.transitions.toarray() - pi)) <= 1e-10
+        W = _kernel(A)
+        pi = da.spectral_decompose(W, 10).stationary
+        P, _ = transition_matrix(W)
+        assert np.max(np.abs(pi @ P.toarray() - pi)) <= 1e-10
 
     def test_zero_degree_reports_index(self):
         A = np.eye(3)
         A[2, 2] = 0.0
-        with pytest.raises(ValueError, match="2"):
-            da.markov_normalize(
-                da.SparseKernelMatrix(weights=sparse.csr_matrix(A), sigma=1.0)
-            )
+        with pytest.raises(ValueError, match="vertex 2 has non-positive degree"):
+            da.spectral_decompose(_kernel(A), 1)
+
+    def test_conjugate_is_the_transition_matrix_conjugated(self):
+        # bit for bit: D^(1/2) P D^(-1/2) averaged with its transpose
+        rng = np.random.default_rng(24)
+        _, _, W, _ = build_graph_pieces(rng.normal(size=(200, 3)), k=8, num_eigs=5)
+        P, pi = transition_matrix(W)
+        S, degrees = _symmetric_conjugate(W)
+        assert np.array_equal(degrees / degrees.sum(), pi)
+        sqrt_d = np.sqrt(degrees)
+        want = sparse.csr_matrix(P.multiply(sqrt_d[:, None]).multiply(1.0 / sqrt_d[None, :]))
+        want = (want + want.T) * 0.5
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(S, part), getattr(want, part))
 
 
 class TestSpectralDecompose:
     def test_two_state_chain_closed_form(self):
         for a in (0.1, 0.25, 0.4):
-            W = np.array([[1.0 - a, a], [a, 1.0 - a]])
-            mc = da.markov_normalize(
-                da.SparseKernelMatrix(weights=sparse.csr_matrix(W), sigma=1.0)
-            )
-            spec = da.spectral_decompose(mc, 2)
+            W = _kernel([[1.0 - a, a], [a, 1.0 - a]])
+            spec = da.spectral_decompose(W, 2)
             assert np.allclose(sorted(spec.eigenvalues), sorted([1.0, 1.0 - 2 * a]), atol=1e-12)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(15)
-        _, _, mc, spec = build_graph_pieces(rng.normal(size=(50, 3)), k=6)
-        S = _symmetric_conjugate(mc).toarray()
+        _, _, W, spec = build_graph_pieces(rng.normal(size=(50, 3)), k=6)
+        S = _symmetric_conjugate(W)[0].toarray()
         evals, evecs = scipy.linalg.eigh(S)
         order = np.lexsort((-evals, -np.abs(evals)))
         assert np.allclose(spec.eigenvalues, evals[order], atol=1e-8)
-        psi_oracle = evecs[:, order] / np.sqrt(mc.stationary)[:, None]
+        psi_oracle = evecs[:, order] / np.sqrt(transition_matrix(W)[1])[:, None]
         for col in range(50):
             peak = np.argmax(np.abs(psi_oracle[:, col]))
             if psi_oracle[peak, col] < 0:
@@ -170,14 +173,14 @@ class TestSpectralDecompose:
         pts += np.random.default_rng(16).normal(scale=0.01, size=pts.shape)
         cloud = da.PointCloud(pts)
         nb = da.knn_search(cloud, 3)
-        mc = da.markov_normalize(da.kernel_matrix(nb, 0.05))
+        W = da.kernel_matrix(nb, 0.05)
         with pytest.warns(UserWarning, match="disconnected"):
-            spec = da.spectral_decompose(mc, 5)
+            spec = da.spectral_decompose(W, 5)
         assert np.sum(np.abs(spec.eigenvalues - 1.0) < 1e-8) >= 2
 
     def test_orthonormality_and_constant_leading_vector(self):
         rng = np.random.default_rng(17)
-        _, _, mc, spec = build_graph_pieces(rng.normal(size=(80, 4)), k=8, num_eigs=20)
+        _, _, _, spec = build_graph_pieces(rng.normal(size=(80, 4)), k=8, num_eigs=20)
         G = (spec.basis * spec.stationary[:, None]).T @ spec.basis
         assert np.max(np.abs(G - np.eye(20))) <= 1e-8
         assert abs(spec.eigenvalues[0] - 1.0) <= 1e-10
@@ -185,8 +188,8 @@ class TestSpectralDecompose:
 
     def test_eigen_residuals(self):
         rng = np.random.default_rng(18)
-        _, _, mc, spec = build_graph_pieces(rng.normal(size=(120, 3)), k=8, num_eigs=15)
-        P = mc.transitions
+        _, _, W, spec = build_graph_pieces(rng.normal(size=(120, 3)), k=8, num_eigs=15)
+        P, _ = transition_matrix(W)
         for col in range(spec.num_eigs):
             resid = P @ spec.basis[:, col] - spec.eigenvalues[col] * spec.basis[:, col]
             assert np.linalg.norm(resid) <= 1e-8
@@ -200,25 +203,25 @@ class TestSpectralDecompose:
     def test_sparse_iterative_path_matches_dense(self):
         rng = np.random.default_rng(20)
         pts = rng.normal(size=(400, 3))
-        _, _, mc, spec = build_graph_pieces(pts, k=10, num_eigs=12)
-        S = _symmetric_conjugate(mc).toarray()
+        _, _, W, spec = build_graph_pieces(pts, k=10, num_eigs=12)
+        S = _symmetric_conjugate(W)[0].toarray()
         evals = scipy.linalg.eigh(S, eigvals_only=True)
         order = np.lexsort((-evals, -np.abs(evals)))[:12]
         assert np.allclose(spec.eigenvalues, evals[order], atol=1e-10)
 
     def test_num_eigs_out_of_range(self):
         rng = np.random.default_rng(21)
-        _, _, mc, _ = build_graph_pieces(rng.normal(size=(10, 2)), k=3, num_eigs=2)
+        _, _, W, _ = build_graph_pieces(rng.normal(size=(10, 2)), k=3, num_eigs=2)
         with pytest.raises(ValueError):
-            da.spectral_decompose(mc, 11)
+            da.spectral_decompose(W, 11)
 
     def test_spectral_reconstruction_of_matrix_powers(self):
         rng = np.random.default_rng(22)
         for trial in range(3):
             n = int(rng.integers(30, 100))
-            _, _, mc, spec = build_graph_pieces(rng.normal(size=(n, 3)), k=6)
-            P = mc.transitions.toarray()
-            pi = mc.stationary
+            _, _, W, spec = build_graph_pieces(rng.normal(size=(n, 3)), k=6)
+            P, pi = transition_matrix(W)
+            P = P.toarray()
             for t in (1, 2, 5):
                 Pt = np.linalg.matrix_power(P, t)
                 rec = (spec.basis * spec.eigenvalues**t) @ spec.basis.T * pi[None, :]
@@ -304,7 +307,7 @@ class TestCache:
 
     def test_spectrum_roundtrip_and_key_sensitivity(self, tmp_path):
         rng = np.random.default_rng(25)
-        _, _, mc, spec = build_graph_pieces(rng.normal(size=(40, 2)), k=5, num_eigs=6)
+        _, _, _, spec = build_graph_pieces(rng.normal(size=(40, 2)), k=5, num_eigs=6)
         cache = da.DiffusionCache(tmp_path)
         pts = rng.normal(size=(40, 2))
         k1 = params_key(points_hash(pts), kind="spectrum", k=5, sigma=0.5, num_eigs=6)

@@ -11,7 +11,7 @@ def toy_embedding(coords):
 
 
 def toy_density(p):
-    return da.DensityEstimate(p=np.asarray(p, dtype=float), k_density=1, sigma0=1.0)
+    return da.DensityEstimate(p=np.asarray(p, dtype=float))
 
 
 def forest(emb, dens):

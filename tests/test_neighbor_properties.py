@@ -43,7 +43,7 @@ def test_knn_search_equals_brute_force(cloud_and_k):
 
 def _assert_nearest_denser_is_brute_force(points, p):
     emb = da.DiffusionEmbedding(coords=points, t=1.0)
-    dens = da.DensityEstimate(p=p, k_density=1, sigma0=1.0)
+    dens = da.DensityEstimate(p=p)
     rho, nearest = nearest_denser_points(emb, dens)
     exp_rho, exp_nearest = brute_force_nearest_denser(points, p)
     assert np.array_equal(rho, exp_rho)
@@ -200,7 +200,7 @@ def test_nearest_denser_points_searches_the_kd_tree(trees_built, width):
     coords = rng.normal(size=(300, width))
     p = rng.integers(0, 4, size=300).astype(float)
     emb = da.DiffusionEmbedding(coords=coords, t=1.0)
-    dens = da.DensityEstimate(p=p, k_density=1, sigma0=1.0)
+    dens = da.DensityEstimate(p=p)
     rho, nearest = nearest_denser_points(emb, dens)
     exp_rho, exp_nearest = brute_force_nearest_denser(coords, p)
     assert np.array_equal(rho, exp_rho)

@@ -56,7 +56,7 @@ def seeded_grids(draw):
 def test_propagate_labels_equals_density_order_sweep(case):
     points, p, seeds = case
     emb = da.DiffusionEmbedding(coords=points, t=1.0)
-    dens = da.DensityEstimate(p=p, k_density=1, sigma0=1.0)
+    dens = da.DensityEstimate(p=p)
     expected = sweep(seeds, points, p)
     _, nearest = nearest_denser_points(emb, dens)
     got = da.propagate_labels(seeds, dens, emb, nearest_higher=nearest)
@@ -69,7 +69,7 @@ def _line(n):
     nearest-denser forest is one chain of n - 1 links from point 0."""
     points = np.arange(n, dtype=float)[:, None]
     emb = da.DiffusionEmbedding(coords=points, t=1.0)
-    dens = da.DensityEstimate(p=np.arange(n, 0, -1, dtype=float), k_density=1, sigma0=1.0)
+    dens = da.DensityEstimate(p=np.arange(n, 0, -1, dtype=float))
     return points, emb, dens
 
 

@@ -5,6 +5,13 @@ as a name or an attribute, somewhere in the program: in `src/diffal`
 outside its own definition and outside `__init__.py`, or in the benchmark
 under `perfbench`.  A definition that only tests or the README reach
 belongs in the tests.
+
+Every field of a `src/diffal` dataclass must be read as an attribute
+somewhere in `src/diffal`, `perfbench` or `tests`; tests count here, since
+result fields are what tests observe.  The match is by name alone, so a
+field is missed while any attribute of its name is read: an unread
+`SparseKernelMatrix.sigma` would hide behind reads of `DiffusionModel.sigma`,
+and was removed by hand.
 """
 
 import ast
@@ -51,3 +58,25 @@ def unreferenced_definitions() -> list[str]:
 
 def test_every_public_definition_is_read_by_the_program():
     assert unreferenced_definitions() == []
+
+
+def unread_dataclass_fields() -> list[str]:
+    paths = [*sorted((ROOT / "src" / "diffal").glob("*.py")),
+             *sorted((ROOT / "perfbench").glob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    reads = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+    unread = []
+    for path, tree in trees.items():
+        if path.parent.name != "diffal":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and any(
+                    getattr(d, "func", d).id == "dataclass" for d in node.decorator_list):
+                unread += [f"{path.stem}.{node.name}.{stmt.target.id}" for stmt in node.body
+                           if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in reads]
+    return unread
+
+
+def test_every_dataclass_field_is_read():
+    assert unread_dataclass_fields() == []

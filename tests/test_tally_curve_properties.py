@@ -159,7 +159,7 @@ def forest_cases(draw):
 def check_lund_curve(scores, coords, truth, levels):
     n = scores.n
     emb = da.DiffusionEmbedding(coords=coords, t=1.0)
-    dens = da.DensityEstimate(p=np.ones(n), k_density=1, sigma0=1.0)
+    dens = da.DensityEstimate(p=np.ones(n))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
