@@ -27,8 +27,8 @@ from scipy.spatial.distance import cdist
 
 from .dataset import PointCloud, _check_count, _check_levels
 from .geometry import DensityEstimate, DiffusionEmbedding
-from .land import ActiveResult, _query_and_propagate
-from .metrics import _ClassCounts, _labeled
+from .land import ActiveResult, _query, _query_and_propagate
+from .metrics import _ClassCounts, _labeled, _runs
 
 LINKAGE_METHODS = ("single", "average")
 
@@ -181,8 +181,8 @@ def land_random(
 
 def _majority(labels: np.ndarray) -> tuple[int, float]:
     """(modal label, modal fraction); label ties go to the smaller id."""
-    values, counts = np.unique(labels, return_counts=True)
-    best = int(np.lexsort((values, -counts))[0])
+    values, counts = _runs(labels)
+    best = int(np.argmax(counts))  # values ascend: the first maximum is the smallest id
     return int(values[best]), float(counts[best]) / len(labels)
 
 
@@ -237,7 +237,7 @@ def cbal(
             to_ask = min(sample_size, unqueried.size, budget - len(order))
             for k in rng.choice(unqueried.size, size=to_ask, replace=False):
                 point = int(unqueried[k])
-                answer[point] = int(oracle.query(point))
+                answer[point] = _query(oracle, point)
                 asked[point] = True
                 order.append(point)
         # the node now holds at least one queried point; frontier nodes are

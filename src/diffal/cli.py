@@ -22,8 +22,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import _check_cbal_args, cbal, cut_purity_curve, land_random, linkage
-from .datagen import (HIERARCHICAL_COARSE, gen_bottleneck, gen_gaussians, gen_geometric,
-                      gen_hierarchical)
+from .datagen import gen_bottleneck, gen_gaussians, gen_geometric, gen_hierarchical
 from .dataset import (
     DataError,
     PointCloud,
@@ -126,8 +125,10 @@ def _sha256_of(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-def _generate(cfg: dict) -> tuple[PointCloud, np.ndarray]:
-    """Points and truth of the generator named by cfg["dataset"]."""
+def _generate(cfg: dict) -> tuple:
+    """What the generator named by cfg["dataset"] returns (hierarchical adds
+    the coarse truth).  Only the parameters set in cfg are passed, so the
+    library holds the defaults; gen_gaussians has none, so they are here."""
     name = cfg["dataset"]
     seed = cfg.get("data_seed", 0)
     if name == "gaussians":
@@ -141,10 +142,9 @@ def _generate(cfg: dict) -> tuple[PointCloud, np.ndarray]:
         sizes = _parse_int_list(cfg.get("sizes", ",".join("500" for _ in means)), "sizes")
         return gen_gaussians(means, cfg.get("stddev", 0.5), sizes, seed)
     if name == "hierarchical":
-        return gen_hierarchical(seed, cfg.get("per_cluster", 500), cfg.get("stddev", 0.2))[:2]
-    if name == "geometric":
-        return gen_geometric(seed, _parse_int_list(cfg.get("sizes", "500,500,500"), "sizes"))
-    return gen_bottleneck(seed, _parse_int_list(cfg.get("sizes", "700,700,60"), "sizes"))
+        return gen_hierarchical(seed, **{k: cfg[k] for k in ("per_cluster", "stddev") if k in cfg})
+    sizes = {"sizes": _parse_int_list(cfg["sizes"], "sizes")} if "sizes" in cfg else {}
+    return (gen_geometric if name == "geometric" else gen_bottleneck)(seed, **sizes)
 
 
 def resolve_dataset(cfg: dict, args=None) -> tuple[PointCloud, np.ndarray | None, str]:
@@ -158,13 +158,14 @@ def resolve_dataset(cfg: dict, args=None) -> tuple[PointCloud, np.ndarray | None
     any graph work.
     """
     data = getattr(args, "data", None)
-    if data is None and cfg["dataset"] in GENERATORS:
-        return (*_generate(cfg), cfg["dataset"])
-    path = cfg["dataset"] if data is None else data
     header = getattr(args, "hsi_header", None)
+    if getattr(args, "standardize", False) and not header:
+        raise ConfigError("--standardize applies only to a raw cube read with --hsi-header")
+    if data is None and cfg["dataset"] in GENERATORS:
+        return (*_generate(cfg)[:2], cfg["dataset"])
+    path = cfg["dataset"] if data is None else data
     if header:
-        cloud = load_hsi_cube(path, load_hsi_header(header),
-                              standardize=getattr(args, "standardize", False))
+        cloud = load_hsi_cube(path, load_hsi_header(header), standardize=args.standardize)
     else:
         cloud = load_csv(path)
     truth = _labeled(load_labels(cfg["truth"]), n=cloud.n)[0] if "truth" in cfg else None
@@ -282,6 +283,10 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r}; known: {METHODS}")
     budgets = _parse_int_list(cfg["budgets"], "budgets")
+    for what, values in (("method", methods), ("budget", budgets)):
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:  # it would write the same rows again
+            raise ConfigError(f"{what} {repeated[0]!r} is listed more than once")
     if not budgets and set(methods) - {"lund"}:
         raise ConfigError("the budgets list is empty; only lund runs without budgets")
     trials = int(cfg["trials"])
@@ -440,10 +445,9 @@ def _add_input_flags(sub) -> None:
 def cmd_gen_data(args) -> int:
     cfg = _cfg_from_args(args)
     _make_dirs(args.out)
-    cloud, truth, _ = resolve_dataset(cfg)
-    if cfg["dataset"] == "hierarchical":
-        coarse = np.asarray(HIERARCHICAL_COARSE)[truth - 1]
-        save_labels(os.path.join(args.out, "truth_coarse.txt"), coarse)
+    cloud, truth, *coarse = _generate(cfg)
+    if coarse:
+        save_labels(os.path.join(args.out, "truth_coarse.txt"), coarse[0])
     save_csv(os.path.join(args.out, "points.csv"), cloud)
     save_labels(os.path.join(args.out, "truth.txt"), truth)
     manifest = {

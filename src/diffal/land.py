@@ -113,6 +113,14 @@ class ActiveResult:
         return np.unique(self.queried_labels)
 
 
+def _query(oracle, point: int) -> int:
+    """The oracle's answer for point; a class id below 1 is a ValueError."""
+    label = int(oracle.query(point))
+    if label < 1:
+        raise ValueError(f"oracle returned invalid class id {label} for point {point}")
+    return label
+
+
 def _query_and_propagate(
     targets: np.ndarray,
     dens: DensityEstimate,
@@ -130,7 +138,7 @@ def _query_and_propagate(
     answers = np.zeros(budget, dtype=np.int64)
     for pos, idx in enumerate(targets):
         try:
-            label = int(oracle.query(int(idx)))
+            label = _query(oracle, int(idx))
         except BudgetExceededError as exc:
             err = BudgetExceededError(
                 f"oracle refused query {pos + 1} of {budget} (point {int(idx)}): {exc}"
@@ -138,8 +146,6 @@ def _query_and_propagate(
             err.queried_indices = targets[:pos].copy()
             err.partial_labels = seeds.copy()
             raise err from exc
-        if label < 1:
-            raise ValueError(f"oracle returned invalid class id {label} for point {int(idx)}")
         seeds[idx] = label
         answers[pos] = label
     labels = propagate_labels(seeds, dens, emb, nearest_higher=nearest_higher)

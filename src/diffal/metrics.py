@@ -8,8 +8,10 @@ leaves nothing to score: a DataError that is also a ValueError.
 Average accuracy and kappa read one tally of integer class counts: per
 truth class its size and its correctly labeled points, and the chance
 agreement numerator sum_c size_c * (predictions of id c).  Sorting each
-vector and counting its runs makes the tally in O(n log n) time and O(n)
-memory, with no ids x ids matrix.
+vector and counting its runs (_runs) makes the tally in O(n log n) time
+and O(n) memory, with no ids x ids matrix.  Purity reads the per-cluster
+class counts of _ClassCounts: purity() builds one tally, and the LUND and
+linkage purity curves merge clusters in one and read each level off it.
 """
 
 from __future__ import annotations
@@ -153,30 +155,19 @@ def align_labels(pred, truth) -> np.ndarray:
 
 def purity(clustering, truth) -> float:
     """Fraction of evaluable points whose label matches their cluster majority."""
-    c, t = _evaluable(clustering, truth)
-    # One sort by (cluster, class) turns every cell of the contingency table
-    # into a run.  lexsort orders by the two keys separately, so ids near the
-    # int64 limit cannot overflow a combined key.
-    order = np.lexsort((t, c))
-    c, t = c[order], t[order]
-    new_cluster = np.empty(c.size, dtype=bool)
-    new_cluster[0] = True
-    np.not_equal(c[1:], c[:-1], out=new_cluster[1:])
-    new_cell = new_cluster.copy()
-    new_cell[1:] |= t[1:] != t[:-1]
-    cell_starts = np.flatnonzero(new_cell)
-    cell_sizes = np.diff(np.append(cell_starts, c.size))
-    largest = np.maximum.reduceat(cell_sizes, np.flatnonzero(new_cluster[cell_starts]))
-    return int(largest.sum()) / c.shape[0]
+    clustering = validate_labels(clustering)
+    truth, mask = _labeled(truth, n=clustering.shape[0])
+    return _ClassCounts(clustering, truth, mask).purity()
 
 
 class _ClassCounts:
     """Per cluster, its evaluable points' counts per class, kept under merges.
 
     top holds each cluster's largest count and total their sum, so
-    total / n_eval is the purity of the current clusters, divided exactly
-    as purity() divides.  A merge adds the smaller table into the larger,
-    so any merge sequence makes O(n log n) additions.
+    total / n_eval is the purity of the current clusters: purity() reads
+    it off a fresh tally, the purity curves after each level's merges.  A
+    merge adds the smaller table into the larger, so any merge sequence
+    makes O(n log n) additions.
     """
 
     def __init__(self, clusters: np.ndarray, truth: np.ndarray, mask: np.ndarray):

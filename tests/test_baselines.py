@@ -250,6 +250,18 @@ class TestCbal:
         assert result.queries_used == 1
         assert np.all(result.labels > 0)
 
+    @pytest.mark.parametrize("answer", [0, -2])
+    def test_rejects_class_ids_below_one(self, answer):
+        # land's rule and message: seed 1 asks about point 1 first
+        class StubOracle:
+            def query(self, index):
+                return answer
+
+        dend, _ = self._pure_pairs()
+        with pytest.raises(ValueError) as excinfo:
+            da.cbal(dend, 4, StubOracle(), sample_size=2, seed=1)
+        assert str(excinfo.value) == f"oracle returned invalid class id {answer} for point 1"
+
     def test_bad_params(self):
         dend, truth = self._pure_pairs()
         oracle = da.GroundTruthOracle(truth, 5)

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,13 +45,20 @@ class TestGenData:
         assert manifest["n"] == 120
 
     def test_hierarchical_writes_both_truths(self, tmp_path):
+        # the CLI passes on only the flags given, so the library's default
+        # spread applies, and both truths are the generator's own
         out = tmp_path / "ds"
         assert run_cli(
             "gen-data", "--dataset", "hierarchical", "--seed", "1",
             "--per-cluster", "20", "--out", str(out),
         ) == 0
-        assert (out / "truth.txt").exists()
-        assert len(np.unique(da.load_labels(out / "truth_coarse.txt"))) == 2
+        cloud, fine, coarse = da.gen_hierarchical(1, 20)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["points_sha256"] == cli._sha256_of(cloud.points)
+        assert np.array_equal(da.load_csv(out / "points.csv").points, cloud.points)
+        assert np.array_equal(da.load_labels(out / "truth.txt"), fine)
+        assert np.array_equal(da.load_labels(out / "truth_coarse.txt"), coarse)
+        assert len(np.unique(coarse)) == 2
 
     def test_matches_library_generator(self, tmp_path):
         out = tmp_path / "ds"
@@ -138,16 +146,21 @@ class TestPipelineCommands:
         ]
 
     def test_scan_t_csv(self, tmp_path):
+        # the hierarchical blobs read as four classes at early times and as
+        # two at late ones, on a graph that is connected
         out = tmp_path / "scan.csv"
-        code = run_cli(
-            "scan-t", "--dataset", "hierarchical", "--data-seed", "7",
-            "--t-grid", "2:5:0.5", "--out", str(out),
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(
+                "scan-t", "--dataset", "hierarchical", "--data-seed", "7",
+                "--t-grid", "2:5:0.5", "--out", str(out),
+            )
         assert code == 0
+        assert [str(w.message) for w in caught] == []
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("t_log10,k_hat,d_in,d_btw,score_1")
         k_hats = [int(l.split(",")[1]) for l in lines[1:] if l.split(",")[1]]
-        assert 4 in k_hats or 2 in k_hats
+        assert 4 in k_hats and 2 in k_hats
 
     @pytest.mark.filterwarnings("ignore:scan skipped")
     def test_scan_t_single_gaussian_mostly_one_cluster(self, tmp_path):
@@ -291,6 +304,23 @@ class TestBench:
         assert err.startswith("config error:") and message in err
         assert builds == []
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"methods": "land,land", "budgets": "3"}, "method 'land' is listed more than once"),
+        ({"methods": "lund,cbal,lund", "budgets": "3"}, "method 'lund' is listed more than once"),
+        ({"methods": "land", "budgets": "3,3"}, "budget 3 is listed more than once"),
+        ({"methods": "cbal", "budgets": "2,5,2"}, "budget 2 is listed more than once"),
+    ])
+    def test_repeated_method_or_budget_fails_before_any_graph_work(
+            self, tmp_path, capsys, monkeypatch, extra, message):
+        builds = _spy_builds(monkeypatch)
+        out = tmp_path / "o"
+        code = run_cli("bench", "--config", str(self._config(tmp_path, **extra)), "--out", str(out))
+        err = capsys.readouterr().err.strip()
+        assert code == 2
+        assert err == f"config error: {message}"
+        assert builds == []
+        assert not out.exists()
 
     def test_cbal_budget_may_exceed_the_point_count(self, tmp_path):
         cfg = parse_config(self._config(tmp_path, methods="cbal", budgets="200", trials="1"))
@@ -1022,10 +1052,10 @@ def _truth_data_error(points, truth, command, tmp_path, capsys, monkeypatch):
 def test_purity_replays_every_level_above_the_roots_rank(small_dataset, tmp_path, monkeypatch):
     # both blobs' density maximizer tops the mode-score order, so one lund_k
     # labeling and one replay per tree give every level, with no cut built
-    # and no per-level purity
+    # and one class tally for the lund curve
     points, labels, _, _ = small_dataset
     lund_module = sys.modules["diffal.lund"]
-    calls = {"lund_k": 0, "purity": 0}
+    calls = {"lund_k": 0, "_ClassCounts": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -1037,11 +1067,11 @@ def test_purity_replays_every_level_above_the_roots_rank(small_dataset, tmp_path
         monkeypatch.setattr(module, name, spy)
 
     counted(lund_module, "lund_k")
-    counted(lund_module, "purity")
+    counted(lund_module, "_ClassCounts")
     out = tmp_path / "purity.csv"
     assert run_cli("purity", "--data", str(points), "--truth", str(labels), "--t", "100",
                    "--levels", "120", "--out", str(out)) == 0
-    assert calls == {"lund_k": 1, "purity": 0}
+    assert calls == {"lund_k": 1, "_ClassCounts": 1}
     rows = out.read_text().splitlines()
     assert len(rows) == 1 + 3 * 120
 
@@ -1162,6 +1192,31 @@ def test_t_grid_that_overflows_or_cannot_be_allocated_fails_before_the_graph(
     assert err.startswith("config error: time grid ") and err.endswith(message)
     assert "\n" not in err
     assert builds == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["build-graph"],
+    ["lund", "--t", "100", "--out", "OUT"],
+    ["land", "--truth", "T", "--budget", "3", "--t", "100", "--out", "OUT"],
+])
+def test_standardize_without_a_cube_header_is_a_config_error(
+        small_dataset, tmp_path, capsys, monkeypatch, command):
+    points, labels, _, _ = small_dataset
+    reads = []
+
+    def spy(*args, **kwargs):
+        reads.append(args)
+        return da.load_csv(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", spy)
+    out = tmp_path / "labels.txt"
+    argv = [{"T": str(labels), "OUT": str(out)}.get(arg, arg) for arg in command]
+    assert run_cli(*argv, "--data", str(points), "--standardize") == 2
+    err = capsys.readouterr().err
+    assert err == ("config error: --standardize applies only to a raw cube read "
+                   "with --hsi-header\n")
+    assert reads == []
     assert not out.exists()
 
 
