@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -48,7 +49,8 @@ class ConfigError(Exception):
     """Bad configuration keys or values."""
 
 
-GENERATORS = ("gaussians", "hierarchical", "geometric", "bottleneck")
+GENERATORS = {"gaussians": gen_gaussians, "hierarchical": gen_hierarchical,
+              "geometric": gen_geometric, "bottleneck": gen_bottleneck}
 METHODS = ("land", "land-random", "cbal", "lund")
 
 CONFIG_KEYS = {
@@ -72,6 +74,14 @@ CONFIG_KEYS = {
     "cbal_sample_size": int,
     "out": str,
     "cache": str,
+}
+GENERATOR_KEYS = ("sizes", "per_cluster", "stddev", "means")
+GRAPH_KEYS = {  # each graph key with its flag's help
+    "k": "graph neighbors",
+    "sigma": "kernel bandwidth",
+    "sigma0": "density bandwidth",
+    "num_eigs": "retained eigenpairs",
+    "cache": "cache of neighbor lists, spectra and per-t rho_* entries",
 }
 
 DEFAULT_CONFIG = {
@@ -125,51 +135,56 @@ def _sha256_of(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-def _generate(cfg: dict) -> tuple:
-    """What the generator named by cfg["dataset"] returns (hierarchical adds
-    the coarse truth).  Only the parameters set in cfg are passed, so the
-    library holds the defaults; gen_gaussians has none, so they are here."""
+def _generate(cfg: dict) -> tuple[tuple, dict]:
+    """(what the generator named by cfg["dataset"] returns, the arguments it
+    ran with).  Hierarchical adds the coarse truth.  The generator keys set
+    in cfg are bound to the generator's own parameters, so a key it does
+    not take is a config error and the library holds the defaults;
+    gen_gaussians has none, so they are here."""
     name = cfg["dataset"]
-    seed = cfg.get("data_seed", 0)
+    generator = GENERATORS[name]
+    signature = inspect.signature(generator)
+    given = {key: cfg[key] for key in GENERATOR_KEYS if key in cfg}
+    unused = [key for key in given if key not in signature.parameters]
+    if unused:
+        raise ConfigError(f"dataset {name} takes no {', '.join(unused)}")
+    if "sizes" in given:
+        given["sizes"] = _parse_int_list(given["sizes"], "sizes")
+    if "means" in given:
+        given["means"] = [[float(v) for v in vec.split(",")] for vec in given["means"].split(";")]
     if name == "gaussians":
-        if "means" in cfg:
-            means = [
-                [float(v) for v in vec.split(",")]
-                for vec in str(cfg["means"]).split(";")
-            ]
-        else:
-            means = [[0.0, 0.0], [5.0, 0.0], [2.5, 4.33]]
-        sizes = _parse_int_list(cfg.get("sizes", ",".join("500" for _ in means)), "sizes")
-        return gen_gaussians(means, cfg.get("stddev", 0.5), sizes, seed)
-    if name == "hierarchical":
-        return gen_hierarchical(seed, **{k: cfg[k] for k in ("per_cluster", "stddev") if k in cfg})
-    sizes = {"sizes": _parse_int_list(cfg["sizes"], "sizes")} if "sizes" in cfg else {}
-    return (gen_geometric if name == "geometric" else gen_bottleneck)(seed, **sizes)
+        given.setdefault("means", [[0.0, 0.0], [5.0, 0.0], [2.5, 4.33]])
+        given = {"stddev": 0.5, "sizes": [500] * len(given["means"]), **given}
+    bound = signature.bind(seed=cfg["data_seed"], **given)
+    bound.apply_defaults()
+    return generator(*bound.args, **bound.kwargs), bound.arguments
 
 
-def resolve_dataset(cfg: dict, args=None) -> tuple[PointCloud, np.ndarray | None, str]:
-    """The one reader of inputs: (cloud, truth, name).
+def resolve_dataset(cfg: dict,
+                    args=None) -> tuple[PointCloud, np.ndarray | None, str, dict | None]:
+    """The one reader of inputs: (cloud, truth, name, generator arguments).
 
     Points come from the --data flag when given (a CSV file, or a raw cube
     with --hsi-header), else from cfg["dataset"] (a generator name or a CSV
     path).  Generators bring their own truth; file inputs take it from
     cfg["truth"], None when absent, checked against the point count and
     for a positive label, so a truth with nothing to score fails before
-    any graph work.
+    any graph work.  The generator arguments are None for file inputs.
     """
     data = getattr(args, "data", None)
     header = getattr(args, "hsi_header", None)
     if getattr(args, "standardize", False) and not header:
         raise ConfigError("--standardize applies only to a raw cube read with --hsi-header")
     if data is None and cfg["dataset"] in GENERATORS:
-        return (*_generate(cfg)[:2], cfg["dataset"])
+        generated, arguments = _generate(cfg)
+        return (*generated[:2], cfg["dataset"], arguments)
     path = cfg["dataset"] if data is None else data
     if header:
         cloud = load_hsi_cube(path, load_hsi_header(header), standardize=args.standardize)
     else:
         cloud = load_csv(path)
     truth = _labeled(load_labels(cfg["truth"]), n=cloud.n)[0] if "truth" in cfg else None
-    return cloud, truth, os.path.basename(str(path))
+    return cloud, truth, os.path.basename(str(path)), None
 
 
 def _make_dirs(*paths) -> None:
@@ -249,7 +264,7 @@ def _prepare_scores(cfg: dict, cloud: PointCloud, truth: np.ndarray | None):
     """(model, t, embedding, scores): --t is checked before any graph work,
     then the model is built once and scored at t, or at the time that
     choose_time picks for "auto"."""
-    raw = str(cfg.get("t", "auto"))
+    raw = str(cfg["t"])
     if raw.lower() == "auto":
         if truth is None:
             raise ConfigError("--t auto needs --truth to count classes")
@@ -294,7 +309,7 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
         raise ConfigError("trials must be at least 1")
     _make_dirs(cfg.get("cache"), out_dir)
 
-    cloud, truth, dataset_name = resolve_dataset(cfg)
+    cloud, truth, dataset_name, generator_args = resolve_dataset(cfg)
     if truth is None:
         raise ConfigError("file datasets need a `truth` labels path")
     if set(methods) - {"lund"}:
@@ -365,6 +380,8 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
             "truth_sha256": _sha256_of(truth),
         },
     }
+    if generator_args is not None:
+        manifest["resolved"]["generator_args"] = generator_args
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -417,9 +434,12 @@ def _cfg_from_args(args) -> dict:
 
 def _read_inputs(args, *outputs) -> tuple[dict, PointCloud, np.ndarray | None]:
     """(cfg, cloud, truth) of a command; first, an output file (None: not
-    asked for) that is a directory, or whose directory does not exist, is a
-    config error."""
-    for path in filter(None, outputs):
+    asked for) that is a directory, whose directory does not exist, or that
+    another output also names, is a config error."""
+    paths = [path for path in outputs if path]
+    for i, path in enumerate(paths):
+        if os.path.realpath(path) in map(os.path.realpath, paths[:i]):
+            raise ConfigError(f"two outputs name one file: {path}")
         if os.path.isdir(path):
             raise ConfigError(f"output file {path} is a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
@@ -428,12 +448,12 @@ def _read_inputs(args, *outputs) -> tuple[dict, PointCloud, np.ndarray | None]:
     return (cfg, *resolve_dataset(cfg, args)[:2])
 
 
-def _add_graph_flags(sub) -> None:
-    sub.add_argument("--k", type=int, help="graph neighbors (default max(20, log2 n))")
-    sub.add_argument("--sigma", type=float, help="kernel bandwidth (default mean k-th NN distance)")
-    sub.add_argument("--sigma0", type=float, help="density bandwidth (default sigma)")
-    sub.add_argument("--num-eigs", type=int, help="retained eigenpairs (default 25)")
-    sub.add_argument("--cache", help="cache of neighbor lists, spectra and per-t rho_* entries")
+def _add_keys(sub, *keys, **kwargs) -> None:
+    """One flag per config key: `--key-with-dashes`, or the flag of a
+    (flag, key) alias, with the key as its dest and its caster as its type."""
+    for key in keys:
+        flag, key = key if isinstance(key, tuple) else ("--" + key.replace("_", "-"), key)
+        sub.add_argument(flag, dest=key, type=CONFIG_KEYS[key], help=GRAPH_KEYS.get(key), **kwargs)
 
 
 def _add_input_flags(sub) -> None:
@@ -445,18 +465,14 @@ def _add_input_flags(sub) -> None:
 def cmd_gen_data(args) -> int:
     cfg = _cfg_from_args(args)
     _make_dirs(args.out)
-    cloud, truth, *coarse = _generate(cfg)
+    (cloud, truth, *coarse), arguments = _generate(cfg)
     if coarse:
         save_labels(os.path.join(args.out, "truth_coarse.txt"), coarse[0])
     save_csv(os.path.join(args.out, "points.csv"), cloud)
     save_labels(os.path.join(args.out, "truth.txt"), truth)
     manifest = {
         "dataset": cfg["dataset"],
-        "params": {
-            k: cfg[k]
-            for k in ("data_seed", "sizes", "per_cluster", "stddev", "means")
-            if k in cfg
-        },
+        "params": arguments,
         "n": cloud.n,
         "dim": cloud.dim,
         "points_sha256": _sha256_of(cloud.points),
@@ -523,7 +539,7 @@ def cmd_land(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _cfg_from_args(args)
-    out_dir = args.out or cfg.get("out") or "bench_out"
+    out_dir = cfg.get("out") or "bench_out"
     results, manifest = run_experiment(cfg, out_dir)
     print(f"wrote {results} and {manifest}")
     return 0
@@ -582,75 +598,56 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="write a synthetic dataset")
-    p.add_argument("--dataset", choices=GENERATORS, required=True)
-    p.add_argument("--data-seed", type=int, dest="data_seed")
-    p.add_argument("--seed", type=int, dest="data_seed")
-    p.add_argument("--sizes")
-    p.add_argument("--per-cluster", type=int, dest="per_cluster")
-    p.add_argument("--stddev", type=float)
-    p.add_argument("--means")
-    p.add_argument("--out", required=True)
+    _add_keys(p, "dataset", choices=GENERATORS, required=True)
+    _add_keys(p, "data_seed", ("--seed", "data_seed"), *GENERATOR_KEYS)
+    _add_keys(p, "out", required=True)
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("build-graph", help="build and summarize the diffusion graph")
     _add_input_flags(p)
-    _add_graph_flags(p)
+    _add_keys(p, *GRAPH_KEYS)
     p.set_defaults(func=cmd_build_graph)
 
     p = sub.add_parser("lund", help="unsupervised labeling")
     _add_input_flags(p)
-    p.add_argument("--truth")
-    p.add_argument("--t")
+    _add_keys(p, "truth", "t")
     p.add_argument("--num-clusters", type=int)
     p.add_argument("--scores-out")
-    p.add_argument("--out", required=True)
-    _add_graph_flags(p)
+    _add_keys(p, "out", required=True)
+    _add_keys(p, *GRAPH_KEYS)
     p.set_defaults(func=cmd_lund)
 
     p = sub.add_parser("land", help="active labeling with an oracle")
     _add_input_flags(p)
-    p.add_argument("--truth")
+    _add_keys(p, "truth", "t")
     p.add_argument("--interactive", action="store_true")
     p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--t")
-    p.add_argument("--out", required=True)
-    _add_graph_flags(p)
+    _add_keys(p, "out", required=True)
+    _add_keys(p, *GRAPH_KEYS)
     p.set_defaults(func=cmd_land)
 
     p = sub.add_parser("bench", help="config-driven experiment over budgets/methods")
     p.add_argument("--config")
-    p.add_argument("--dataset")
-    p.add_argument("--truth")
-    p.add_argument("--budgets")
-    p.add_argument("--methods")
-    p.add_argument("--method", dest="methods")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--root-seed", type=int, dest="root_seed")
-    p.add_argument("--seed", type=int, dest="root_seed")
-    p.add_argument("--data-seed", type=int, dest="data_seed")
-    p.add_argument("--t")
-    p.add_argument("--out")
-    _add_graph_flags(p)
+    _add_keys(p, "dataset", "truth", "budgets", "methods", ("--method", "methods"), "trials",
+              "root_seed", ("--seed", "root_seed"), "data_seed", "t", "out", *GRAPH_KEYS)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("scan-t", help="cluster-count estimates over a log10 time grid")
     p.add_argument("--config")
     p.add_argument("--data")
-    p.add_argument("--dataset")
-    p.add_argument("--truth")
-    p.add_argument("--data-seed", type=int, dest="data_seed")
+    _add_keys(p, "dataset", "truth", "data_seed")
     p.add_argument("--t-grid", default="0:8:0.5")
-    p.add_argument("--out", required=True)
-    _add_graph_flags(p)
+    _add_keys(p, "out", required=True)
+    _add_keys(p, *GRAPH_KEYS)
     p.set_defaults(func=cmd_scan_t)
 
     p = sub.add_parser("purity", help="purity curves for lund and linkage cuts")
     p.add_argument("--data", required=True)
-    p.add_argument("--truth", required=True)
-    p.add_argument("--t")
+    _add_keys(p, "truth", required=True)
+    _add_keys(p, "t")
     p.add_argument("--levels", type=int, default=40)
-    p.add_argument("--out", required=True)
-    _add_graph_flags(p)
+    _add_keys(p, "out", required=True)
+    _add_keys(p, *GRAPH_KEYS)
     p.set_defaults(func=cmd_purity)
 
     return parser

@@ -84,6 +84,36 @@ class TestGenData:
         assert not (tmp_path / "ds" / "points.csv").exists()
 
 
+    @pytest.mark.parametrize("args", [
+        ["geometric", "--stddev", "5", "--per-cluster", "3", "--means", "0,0"],
+        ["bottleneck", "--per-cluster", "30"],
+        ["hierarchical", "--sizes", "5,5"],
+        ["hierarchical", "--means", "0,0"],
+        ["gaussians", "--per-cluster", "30"],
+    ])
+    def test_key_the_generator_does_not_take_is_a_config_error(self, tmp_path, capsys, args):
+        assert run_cli("gen-data", "--dataset", *args, "--seed", "1",
+                       "--out", str(tmp_path / "ds")) == 2
+        assert _one_line(capsys, "config")
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    @pytest.mark.parametrize("args, params", [
+        (["hierarchical", "--per-cluster", "20"], {"seed": 1, "per_cluster": 20, "stddev": 0.3}),
+        (["geometric"], {"seed": 1, "sizes": [500, 500, 500]}),
+        (["bottleneck", "--sizes", "30,30,10"], {"seed": 1, "sizes": [30, 30, 10]}),
+        (["gaussians", "--sizes", "10,10,10"],
+         {"seed": 1, "means": [[0.0, 0.0], [5.0, 0.0], [2.5, 4.33]], "stddev": 0.5,
+          "sizes": [10, 10, 10]}),
+    ])
+    def test_manifest_records_the_arguments_the_generator_ran_with(self, tmp_path, args, params):
+        out = tmp_path / "ds"
+        assert run_cli("gen-data", "--dataset", *args, "--seed", "1", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["params"] == params
+        cloud = getattr(da, f"gen_{args[0]}")(**params)[0]
+        assert manifest["points_sha256"] == cli._sha256_of(cloud.points)
+
+
 class TestPipelineCommands:
     def test_build_graph_summary(self, small_dataset, capsys):
         points, _, _, _ = small_dataset
@@ -279,6 +309,28 @@ class TestBench:
         assert len(manifest["resolved"]["points_sha256"]) == 64
         assert manifest["resolved"]["t"] == 100.0
 
+
+    def test_manifest_records_the_generator_arguments(self, tmp_path):
+        cfg = parse_config(self._config(tmp_path, methods="lund"))
+        _, man = run_experiment(cfg, tmp_path / "out")
+        assert json.loads(Path(man).read_text())["resolved"]["generator_args"] == {
+            "seed": 11, "sizes": [50, 50, 50], "stddev": 0.5,
+            "means": [[0.0, 0.0], [6.0, 0.0], [3.0, 5.0]],
+        }
+
+    @pytest.mark.parametrize("command", ["bench", "scan-t"])
+    def test_key_the_generator_does_not_take_fails_before_any_graph_work(
+            self, tmp_path, capsys, monkeypatch, command):
+        builds = _spy_builds(monkeypatch)
+        out = tmp_path / "o"
+        # geometric takes sizes but neither the stddev nor the means of this config
+        code = run_cli(command, "--config", str(self._config(tmp_path, dataset="geometric")),
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "config error: dataset geometric takes no stddev, means"
+        assert builds == []
+        assert not out.is_file() and not (out / "results.csv").exists()
 
     @pytest.mark.parametrize("extra, message", [
         ({"methods": "land", "budgets": "0,3"}, "need 1 <= budget <= n"),
@@ -586,6 +638,19 @@ class TestOutputPaths:
             err = capsys.readouterr().err.strip()
             assert err.startswith("config error:") and "\n" not in err
             assert sorted(p.name for p in tmp_path.iterdir()) == ["dups.csv", "truth.txt"]
+
+    @pytest.mark.parametrize("scores_out", ["labels.txt", "./labels.txt", "sub/../labels.txt"])
+    def test_out_and_scores_out_naming_one_file_fail_before_the_inputs_are_read(
+            self, small_dataset, tmp_path, capsys, monkeypatch, scores_out):
+        points, labels, _, _ = small_dataset
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        # a missing --data would be a data error, so its exit 2 shows the order
+        for data in (points, tmp_path / "missing.csv"):
+            assert run_cli("lund", "--data", str(data), "--truth", str(labels), "--t", "100",
+                           "--out", "labels.txt", "--scores-out", scores_out) == 2
+            assert _one_line(capsys, "config")
+            assert not (tmp_path / "labels.txt").exists()
 
     def test_output_file_that_is_a_directory_fails_before_the_graph(self, tmp_path, capsys):
         # exit 2 instead of the duplicate cloud's data error shows that the

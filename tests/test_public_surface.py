@@ -80,3 +80,27 @@ def unread_dataclass_fields() -> list[str]:
 
 def test_every_dataclass_field_is_read():
     assert unread_dataclass_fields() == []
+
+
+def unread_imports() -> list[str]:
+    """`module.name` for each name a `src/diffal` module imports and never
+    reads; `__init__.py` imports to re-export, and `__future__` imports
+    switch on language features."""
+    unread = []
+    for path in sorted((ROOT / "src" / "diffal").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = {sub.id for sub in ast.walk(tree)
+                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unread += [f"{path.stem}.{alias.asname or alias.name.split('.')[0]}"
+                           for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0]) not in reads]
+    return unread
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    assert unread_imports() == []
