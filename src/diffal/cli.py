@@ -169,7 +169,8 @@ def resolve_dataset(cfg: dict,
     path).  Generators bring their own truth; file inputs take it from
     cfg["truth"], None when absent, checked against the point count and
     for a positive label, so a truth with nothing to score fails before
-    any graph work.  The generator arguments are None for file inputs.
+    any graph work.  The generator arguments are None for file inputs, and
+    a generator key set for one is a config error.
     """
     data = getattr(args, "data", None)
     header = getattr(args, "hsi_header", None)
@@ -179,6 +180,9 @@ def resolve_dataset(cfg: dict,
         generated, arguments = _generate(cfg)
         return (*generated[:2], cfg["dataset"], arguments)
     path = cfg["dataset"] if data is None else data
+    unused = [key for key in GENERATOR_KEYS if key in cfg]
+    if unused:
+        raise ConfigError(f"dataset {path} is a file and takes no {', '.join(unused)}")
     if header:
         cloud = load_hsi_cube(path, load_hsi_header(header), standardize=args.standardize)
     else:
@@ -307,9 +311,8 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
     trials = int(cfg["trials"])
     if trials < 1:
         raise ConfigError("trials must be at least 1")
-    _make_dirs(cfg.get("cache"), out_dir)
-
     cloud, truth, dataset_name, generator_args = resolve_dataset(cfg)
+    _make_dirs(cfg.get("cache"), out_dir)
     if truth is None:
         raise ConfigError("file datasets need a `truth` labels path")
     if set(methods) - {"lund"}:
@@ -464,8 +467,8 @@ def _add_input_flags(sub) -> None:
 
 def cmd_gen_data(args) -> int:
     cfg = _cfg_from_args(args)
-    _make_dirs(args.out)
     (cloud, truth, *coarse), arguments = _generate(cfg)
+    _make_dirs(args.out)
     if coarse:
         save_labels(os.path.join(args.out, "truth_coarse.txt"), coarse[0])
     save_csv(os.path.join(args.out, "points.csv"), cloud)

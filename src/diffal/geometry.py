@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import _check_positive
-from .graph import NeighborLists, SpectralDecomposition, _exact_search, _tree_proposer
+from .graph import NeighborLists, SpectralDecomposition, _exact_search, _proposer_for
 
 
 @dataclass(frozen=True)
@@ -101,18 +101,21 @@ def global_density_maximizer(p: np.ndarray) -> int:
 
 
 def nearest_denser_points(
-    emb: DiffusionEmbedding, dens: DensityEstimate
+    emb: DiffusionEmbedding, dens: DensityEstimate, width: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """For each point, distance and index of its nearest strictly-denser point.
 
     The global density maximizer gets (max distance to any point, itself).
     Every other point goes through the exact neighbor engine of graph with
     k = 1 and the strict density order as the acceptance test.  The search
-    starts from 8 tree candidates per point and widens fourfold per round,
-    up to a full scan, for the points it cannot yet prove complete; most
-    points have a denser point among their 8 nearest and finish in the
-    first round.  Results match a quadratic scan exactly, tie rules
-    included: at equal distance the smaller index wins.
+    starts from 8 candidates per point and widens fourfold per round, up to
+    a full scan, for the points it cannot yet prove complete; most points
+    have a denser point among their 8 nearest and finish in the first
+    round.  width, by default the embedding's column count, is the number
+    of dimensions the points spread over, and picks the candidate generator
+    (graph._proposer_for).  Results match a quadratic scan exactly, tie
+    rules included, whichever generator proposes: at equal distance the
+    smaller index wins.
     """
     coords = np.ascontiguousarray(emb.coords)
     p = dens.p
@@ -125,8 +128,10 @@ def nearest_denser_points(
         pc, pr = p[cand], p[rows, None]
         return (pc > pr) | ((pc == pr) & (cand < rows[:, None]))
 
+    if width is None:
+        width = coords.shape[1]
     rows = np.delete(np.arange(n), imax)
-    idx, dist = _exact_search(coords, _tree_proposer(coords), rows, 1, 8, denser)
+    idx, dist = _exact_search(coords, _proposer_for(width)(coords), rows, 1, 8, denser)
     dist_out = np.empty(n, dtype=np.float64)
     idx_out = np.empty(n, dtype=np.int64)
     dist_out[rows] = dist[:, 0]

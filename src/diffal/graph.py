@@ -27,10 +27,12 @@ widens the candidate set fourfold per round (up to a full scan) for the rows
 it cannot yet prove complete.  There are two generators: a kd-tree with
 sliding-midpoint splits (Maneewongvatana and Mount, 1999), and blocked GEMM
 over the squared-norm expansion, whose bound subtracts an error term derived
-from the point norms.  kNN takes GEMM above _TREE_MAX_DIM dimensions and the
-tree at or below; the nearest-denser search always takes the tree.  Results,
+from the point norms.  One rule, _proposer_for, picks between them from a
+width: GEMM above _TREE_MAX_DIM, the tree at or below.  kNN passes the data
+dimension; the nearest-denser search passes the smaller of the data
+dimension and the number of embedding columns that carry weight.  Results,
 including tie-breaking by smaller index at equal distance, are bitwise
-identical to a brute-force double loop.
+identical to a brute-force double loop whichever generator proposes.
 """
 
 from __future__ import annotations
@@ -216,8 +218,13 @@ def _gemm_proposer(coords):
         squares of rounded differences, D - 1 additions), and the bound's
         subtraction rounds once more: u s^2.
     That is (2D + 7) u s^2; gamma = (D + 4) eps = (2D + 8) u leaves one u
-    for the second-order terms.  Blocks of rows are sized so that rows * n
-    stays within _BLOCK_ELEMENTS.
+    for the second-order terms.  Blocks of rows are sized so that the
+    (rows, n) distance block and the index array argpartition returns for
+    it, 16 rows n bytes together, take a quarter of _BLOCK_ELEMENTS' 32 MiB:
+    8 MiB.  With blocks of 64 MiB (rows n = _BLOCK_ELEMENTS), the GEMM
+    nearest-denser search of a 2 704-point cube at t = 1 raised the
+    benchmark's peak RSS from 141 to 185 MB; with 16 MiB it read 152 MB,
+    with 8 MiB 140 MB, and the kNN search took as long.
     """
     n, dim = coords.shape
     centred = coords - coords.mean(axis=0)
@@ -225,7 +232,7 @@ def _gemm_proposer(coords):
     norms = np.sqrt(sq)
     gamma = (dim + 4) * np.finfo(np.float64).eps
     reach = norms.max()
-    step = max(1, _BLOCK_ELEMENTS // n)
+    step = max(1, _BLOCK_ELEMENTS // (8 * n))
 
     def propose(r, m):
         cand = np.empty((r.size, m), dtype=np.int64)
@@ -246,6 +253,12 @@ def _gemm_proposer(coords):
     return propose
 
 
+def _proposer_for(width):
+    """The candidate generator for points that spread over about width
+    dimensions: blocked GEMM above _TREE_MAX_DIM, the kd-tree at or below."""
+    return _gemm_proposer if width > _TREE_MAX_DIM else _tree_proposer
+
+
 def knn_search(cloud: PointCloud, k: int) -> NeighborLists:
     """Exact k nearest neighbors in Euclidean distance.
 
@@ -260,9 +273,8 @@ def knn_search(cloud: PointCloud, k: int) -> NeighborLists:
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     points = cloud.points
-    proposer = _gemm_proposer if cloud.dim > _TREE_MAX_DIM else _tree_proposer
     idx, dist = _exact_search(
-        points, proposer(points), np.arange(n), k, k + 2,
+        points, _proposer_for(cloud.dim)(points), np.arange(n), k, k + 2,
         lambda rows, cand: cand != rows[:, None],
     )
     return NeighborLists(indices=idx, distances=dist)
@@ -307,12 +319,13 @@ _DENSE_EIG_CUTOFF = 300
 # that grow faster it fills in to a nearly dense matrix and plain Lanczos wins.
 _PLANAR_GROWTH = 4.0
 
-# Dimension at or below which knn_search takes its candidates from a kd-tree;
+# Width at or below which _proposer_for takes candidates from a kd-tree;
 # above it, from blocked GEMM.  The tree prunes well in few dimensions and
 # almost nothing in many, while the cost of GEMM grows slowly with dimension.
-# Seconds per k = 20 search on Gaussian clouds, best of 3, BLAS on one
-# thread; the kd-tree is _tree_proposer's, and a median-split tree (cKDTree's
-# default build) came within 10 % of it at every size:
+# kNN passes the data dimension.  Seconds per k = 20 search on Gaussian
+# clouds, best of 3, BLAS on one thread; the kd-tree is _tree_proposer's, and
+# a median-split tree (cKDTree's default build) came within 10 % of it at
+# every size:
 #
 #   n x dim        kd-tree   GEMM
 #   9 000 x 2       0.07     0.94
@@ -324,12 +337,26 @@ _PLANAR_GROWTH = 4.0
 #   5 000 x 25      0.91     0.27
 #   5 000 x 200     4.74     0.56
 #
-# The nearest-denser search stays on the tree in every dimension: lambda^t
-# shrinks most columns of the diffusion embedding, so the tree prunes well.
-# There the sliding-midpoint split pays: the 13-time auto-t scan of 9 000
-# 2-D blobs took 1.33 s against 5.83 s with median splits and the old start
-# of max(8, 2 ceil(log2 n) + 2) candidates (geometric and bottleneck: 0.15
-# and 0.12 s against 0.32 and 0.30 s).
+# The nearest-denser search passes min(data dimension, (sum w^2)^2 / sum w^4)
+# over the non-Perron column weights w = |lambda|^t: lambda^t shrinks most
+# columns of the diffusion embedding, and the tree prunes well on the rest.
+# Milliseconds per search, kd-tree/GEMM, with that width in brackets, at
+# auto-t grid times on the benchmark's sets (seed 3, best of 3, one BLAS
+# thread); the two outputs were bit-identical in every cell:
+#
+#   set, n x dim           t = 1             10^0.5          10^1          10^3
+#   cube, 2 704 x 200      131/64 [15.3]     31/63 [3.6]     16/72 [1.7]   28/195 [1.0]
+#   blobs, 9 000 x 2       104/882 [2]       76/815 [2]      80/804 [2]    70/691 [2]
+#   geometric, 1 500 x 2    18/37 [2]        18/39 [2]       17/37 [2]      9/75 [2]
+#   bottleneck, 1 460 x 2   17/20 [2]        16/19 [2]       15/19 [2]      7/18 [2]
+#
+# The data dimension bounds the width: the blobs keep 24 columns near full
+# weight at t = 1, yet GEMM is 8 times slower there, and at t = 10^5-10^6 it
+# took 9.7-25.6 s against the tree's 0.06-0.13 s.  On the tree the
+# sliding-midpoint split pays: the 13-time auto-t scan of 9 000 2-D blobs
+# took 1.33 s against 5.83 s with median splits and the old start of
+# max(8, 2 ceil(log2 n) + 2) candidates (geometric and bottleneck: 0.15 and
+# 0.12 s against 0.32 and 0.30 s).
 _TREE_MAX_DIM = 8
 
 # evenly spaced rows sampled to measure the two-hop growth

@@ -4,15 +4,20 @@ The expensive, t-independent work (neighbor search, kernel, spectral
 decomposition of its diffusion, density estimate) is bundled in a DiffusionModel;
 per-t embeddings and mode scores are derived from it cheaply, so t sweeps
 reuse one decomposition.  Every t >= 0 has an embedding (column weights
-|lambda|^t); only a t at which every non-Perron weight underflows to 0
-carries no geometry: it fails before the nearest-denser search, with the
-same zero-mode-score NumericalError the cluster count would raise.  A model
-built with a cache_dir also caches each scored t's nearest-denser search,
-the costly part of scores_at.
+|lambda|^t); only a t at which every non-Perron column |lambda|^t psi has
+shrunk below sqrt(smallest normal) carries no geometry: its squared
+coordinate differences underflow, so the embedding is psi_1 and its
+rounding.  Such a t fails before the nearest-denser search, with the same
+zero-mode-score NumericalError the cluster count would raise.  The search
+takes its candidates from the kd-tree or from GEMM by how many columns
+carry weight at t (see DiffusionModel.scores_at).  A model built with a
+cache_dir also caches each scored t's nearest-denser search, the costly
+part of scores_at.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -45,6 +50,18 @@ from .graph import (
     truncate_small_eigenvalues,
 )
 
+# A weighted column spread below this squares to below the smallest normal
+# float: its coordinate differences no longer add to any distance.
+_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
+
+
+def _weighted_column_count(weights: np.ndarray) -> float:
+    """(sum w^2)^2 / sum w^4: how many columns carry the weights w, from 1
+    when one dominates to len(w) when all are equal.  w is scaled by its
+    largest entry first, so w^4 cannot underflow; w must hold a nonzero."""
+    w2 = (weights / weights.max()) ** 2
+    return float(w2.sum() ** 2 / (w2 @ w2))
+
 
 @dataclass(frozen=True)
 class DiffusionModel:
@@ -64,12 +81,24 @@ class DiffusionModel:
     def scores_at(self, t: float) -> tuple[DiffusionEmbedding, ModeScores]:
         """Embedding and mode scores at diffusion time t.
 
-        When the spectrum holds more than one pair and every |lambda_l|^t with
-        l >= 2 underflows to exactly 0, the embedding is lambda_1^t psi_1,
-        constant up to rounding, so every mode score is 0: that raises
-        NumericalError ("zero mode score") before the search.  Computed
-        copies of lambda = 1, one per component of a disconnected graph, sit
-        about 1e-15 below 1, so they keep their weight only while t << 1e15.
+        When the spectrum holds more than one pair and every non-Perron
+        weight |lambda_l|^t and weighted spread |lambda_l|^t (max psi_l -
+        min psi_l) is below sqrt(smallest normal), every squared coordinate
+        difference outside psi_1 underflows: the distances are
+        lambda_1^t psi_1's rounding, and the mode scores noise or 0.  That
+        raises NumericalError ("zero mode score") before the search.  The
+        spreads are read only once every weight is that small.  On a
+        connected graph psi_1 is constant, so each other psi_l has pi-mean 0
+        and pi-variance 1, and a spread of at least 2: there the weights
+        never decide alone.  Computed copies of lambda = 1, one per
+        component of a disconnected graph, sit about 1e-15 below 1, so they
+        keep their weight only while t << 1e15.
+
+        The nearest-denser search runs on the kd-tree or on GEMM candidates
+        by _proposer_for's rule, at the width min(data dimension, number of
+        non-Perron columns that carry weight): GEMM only where noisy data in
+        many dimensions keep many columns near full weight, as a
+        hyperspectral cube at t = 1.  Either gives the same result.
 
         A model built with a cache_dir reads the nearest-denser search's
         result at t from the cache, after those checks and only then, and on
@@ -77,15 +106,19 @@ class DiffusionModel:
         I/O.  The embedding and the scores are derived afresh either way.
         """
         weights = eigenvalue_powers(self.spectrum.eigenvalues, t)
-        if weights.size > 1 and not np.any(weights[1:]):
+        rest = weights[1:]
+        if rest.size and np.all(rest < _SQRT_TINY) and np.all(
+                rest * np.ptp(self.spectrum.basis[:, 1:], axis=0) < _SQRT_TINY):
             raise NumericalError(
-                f"zero mode score at t={t:g}: every non-Perron eigenvalue power "
-                "lambda^t underflows to 0, so the diffusion embedding is constant"
+                f"zero mode score at t={t:g}: every non-Perron column |lambda|^t psi "
+                "spreads by less than sqrt(smallest normal), so the diffusion "
+                "embedding is constant up to rounding"
             )
         emb = diffusion_embed(self.spectrum, t)
 
         def search():
-            return NearestDenser(*nearest_denser_points(emb, self.density))
+            width = min(self.cloud.dim, _weighted_column_count(rest)) if rest.size else 1
+            return NearestDenser(*nearest_denser_points(emb, self.density, width))
 
         found = self.cached_rho(search, t=float(t))
         return emb, mode_scores(self.density, found.rho, found.nearest_higher)

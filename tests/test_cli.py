@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import subprocess
@@ -331,6 +332,32 @@ class TestBench:
         assert err == "config error: dataset geometric takes no stddev, means"
         assert builds == []
         assert not out.is_file() and not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("command", ["bench", "scan-t"])
+    def test_file_dataset_with_a_generator_key_is_a_config_error(
+            self, tmp_path, capsys, monkeypatch, command):
+        data = tmp_path / "f"
+        assert run_cli("gen-data", "--dataset", "gaussians", "--sizes", "20,20,20",
+                       "--out", str(data)) == 0
+        points = data / "points.csv"
+        cfg = tmp_path / "file.cfg"
+        cfg.write_text(f"dataset = {points}\ntruth = {data / 'truth.txt'}\n"
+                       "stddev = 5\nmethods = lund\n")
+        builds = _spy_builds(monkeypatch)
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert run_cli(command, "--config", str(cfg), "--out", str(out)) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"config error: dataset {points} is a file and takes no stddev"
+        assert builds == [] and not out.exists()
+
+    def test_gen_data_key_the_generator_does_not_take_leaves_no_directory(
+            self, tmp_path, capsys):
+        out = tmp_path / "a"
+        assert run_cli("gen-data", "--dataset", "geometric", "--stddev", "5",
+                       "--out", str(out)) == 2
+        assert capsys.readouterr().err.strip() == "config error: dataset geometric takes no stddev"
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra, message", [
         ({"methods": "land", "budgets": "0,3"}, "need 1 <= budget <= n"),
@@ -888,6 +915,15 @@ def _non_perron_weights(model, t):
     return geometry.eigenvalue_powers(model.spectrum.eigenvalues, t)[1:]
 
 
+def _searched(model, t):
+    """Whether scores_at searches at t: some non-Perron weight |lambda|^t, or
+    the spread |lambda|^t (max psi - min psi) of its column, is at least
+    sqrt(smallest normal), so not every squared difference underflows."""
+    weights = _non_perron_weights(model, t)
+    spreads = weights * np.ptp(model.spectrum.basis[:, 1:], axis=0)
+    return bool(np.any(np.maximum(weights, spreads) >= np.sqrt(np.finfo(np.float64).tiny)))
+
+
 @pytest.fixture()
 def connected_dataset(tmp_path):
     cloud, truth = _connected_cloud()
@@ -931,9 +967,9 @@ def _spy_searches(monkeypatch):
     searches = []
     real = pipeline.nearest_denser_points
 
-    def spy(emb, dens):
+    def spy(emb, dens, width):
         searches.append(emb.t)
-        return real(emb, dens)
+        return real(emb, dens, width)
 
     monkeypatch.setattr(pipeline, "nearest_denser_points", spy)
     return searches
@@ -948,12 +984,30 @@ def test_underflowed_time_fails_before_the_search(monkeypatch):
     assert searches == []
 
 
+def test_time_whose_weighted_spreads_underflow_fails_before_the_search(monkeypatch):
+    # eigenvalues 0.5 down to 0.4 on the model's own eigenvectors: at t = 600
+    # every non-Perron weight is nonzero (0.4^600 is about 1e-239), yet every
+    # |lambda|^t (max psi - min psi) lies below sqrt(smallest normal)
+    model = da.build_model(_connected_cloud()[0])
+    spec = model.spectrum
+    lam = np.concatenate([[1.0], np.linspace(0.5, 0.4, spec.num_eigs - 1)])
+    model = dataclasses.replace(model, spectrum=da.SpectralDecomposition(
+        eigenvalues=lam, basis=spec.basis, stationary=spec.stationary))
+    assert np.all(_non_perron_weights(model, 600.0) > 0)
+    assert not _searched(model, 600.0) and _searched(model, 450.0)
+    searches = _spy_searches(monkeypatch)
+    with pytest.raises(da.NumericalError, match="zero mode score"):
+        model.scores_at(600.0)
+    assert searches == []
+    model.scores_at(450.0)
+    assert searches == [450.0]
+
+
 def test_auto_t_searches_only_where_a_non_perron_weight_survives(
         connected_dataset, tmp_path, monkeypatch):
     points, labels = connected_dataset
     model = da.build_model(_connected_cloud()[0])
-    live = [float(t) for t in da.log_t_grid(*AUTO_T_GRID)
-            if np.any(_non_perron_weights(model, t))]
+    live = [float(t) for t in da.log_t_grid(*AUTO_T_GRID) if _searched(model, t)]
     assert live  # and t = 1e6, the grid's last, underflows (the fixture)
     searches = _spy_searches(monkeypatch)
     assert run_cli("lund", "--data", str(points), "--truth", str(labels), "--t", "auto",
@@ -968,21 +1022,24 @@ def _three_blobs_39():
 
 
 def test_auto_t_searches_half_integer_times_despite_a_negative_eigenvalue(
-        tmp_path, monkeypatch):
+        tmp_path, monkeypatch, capsys):
     cloud, truth = _three_blobs_39()
     points, labels = tmp_path / "points.csv", tmp_path / "truth.txt"
     da.save_csv(points, cloud)
     da.save_labels(labels, truth)
-    lam = da.build_model(cloud).spectrum.eigenvalues
-    assert np.any(lam < 0)
-    live = [float(t) for t in da.log_t_grid(*AUTO_T_GRID) if np.any(np.abs(lam[1:]) ** t)]
+    model = da.build_model(cloud)
+    assert np.any(model.spectrum.eigenvalues < 0)
+    live = [float(t) for t in da.log_t_grid(*AUTO_T_GRID) if _searched(model, t)]
     assert any(not np.log10(t).is_integer() for t in live)
     searches = _spy_searches(monkeypatch)
-    assert run_cli("lund", "--data", str(points), "--truth", str(labels), "--t", "auto",
-                   "--out", str(tmp_path / "labels.txt")) == 0
     # no grid time reads k_hat = 3 here, so the scan's own middle time is
-    # taken: one search per live grid time, and no second one at t = 1000
-    assert len(live) == 7 and searches == live
+    # taken; at t = 1000 every weighted spread underflows, so that time's
+    # zero-mode-score error is raised: one search per live grid time, and
+    # none at t = 1000
+    assert run_cli("lund", "--data", str(points), "--truth", str(labels), "--t", "auto",
+                   "--out", str(tmp_path / "labels.txt")) == 4
+    assert "zero mode score at t=1000" in capsys.readouterr().err
+    assert len(live) == 6 and searches == live
 
 
 def test_auto_t_raises_the_scans_own_error_at_an_unscorable_middle_time():
@@ -1028,7 +1085,9 @@ def test_scan_t_truth_with_unlabeled_points(tmp_path):
                    "--t-grid", "0:3:0.5", "--out", str(out)) == 0
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert len(rows) == 7
-    assert all(row[1] and row[2] and row[3] for row in rows)  # k_hat, d_in, d_btw
+    assert all(row[1] and row[2] and row[3] for row in rows[:-1])  # k_hat, d_in, d_btw
+    # at t = 1000 every weighted spread |lambda|^t (max psi - min psi) underflows
+    assert rows[-1][0] == "3.0" and not any(rows[-1][1:])
 
 
 def test_disconnected_cloud_scores_at_a_late_time():

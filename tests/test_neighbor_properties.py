@@ -1,13 +1,15 @@
 """Property tests: the exact neighbor searches equal brute force bit for bit
 on tie-heavy, duplicate-heavy integer grids."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import diffal as da
-from diffal import geometry, graph
+from diffal import graph
 from diffal.geometry import nearest_denser_points
 from diffal.graph import _TREE_MAX_DIM
 
@@ -81,7 +83,7 @@ def test_a_dense_local_maximum_widens_past_the_second_round(monkeypatch):
     points = np.vstack([[[0.0, 0.0]], ring, far])
     p = np.concatenate([[2.0], np.ones(40), 3.0 + rng.uniform(size=159)])
     rounds = []
-    real = geometry._tree_proposer
+    real = graph._tree_proposer
 
     def spy(coords):
         propose = real(coords)
@@ -92,7 +94,7 @@ def test_a_dense_local_maximum_widens_past_the_second_round(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(geometry, "_tree_proposer", spy)
+    monkeypatch.setattr(graph, "_tree_proposer", spy)
     _assert_nearest_denser_is_brute_force(points, p)
     assert [m for m, _ in rounds] == [8, 32, 128]
     assert 0 in rounds[2][1]
@@ -194,15 +196,67 @@ def test_high_dimensional_knn_builds_no_kd_tree(trees_built, dim):
     assert trees_built == []
 
 
-@pytest.mark.parametrize("width", [2, _TREE_MAX_DIM + 1, 40])
-def test_nearest_denser_points_searches_the_kd_tree(trees_built, width):
-    rng = np.random.default_rng(7)
-    coords = rng.normal(size=(300, width))
-    p = rng.integers(0, 4, size=300).astype(float)
-    emb = da.DiffusionEmbedding(coords=coords, t=1.0)
-    dens = da.DensityEstimate(p=p)
-    rho, nearest = nearest_denser_points(emb, dens)
-    exp_rho, exp_nearest = brute_force_nearest_denser(coords, p)
-    assert np.array_equal(rho, exp_rho)
-    assert np.array_equal(nearest, exp_nearest)
-    assert trees_built == [(300, width)]
+@SETTINGS
+@given(grid_clouds(min_dim=1, max_dim=12), st.data())
+def test_tree_and_gemm_nearest_denser_points_equal_brute_force(cloud_and_k, data):
+    # ties and duplicates from the grid; +1e8 on every coordinate of a drawn
+    # subset of the points makes GEMM's squared-norm expansion cancel badly
+    points, _ = cloud_and_k
+    n = points.shape[0]
+    far = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    points = points + 1e8 * np.array(far)[:, None]
+    p = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=float)
+    exp_rho, exp_nearest = brute_force_nearest_denser(points, p)
+    emb = da.DiffusionEmbedding(coords=points, t=1.0)
+    for width in (1, _TREE_MAX_DIM + 1):  # the kd-tree, then GEMM
+        rho, nearest = nearest_denser_points(emb, da.DensityEstimate(p=p), width)
+        assert np.array_equal(rho, exp_rho)
+        assert np.array_equal(nearest, exp_nearest)
+
+
+def _model_with(dim, eigenvalues):
+    """The model of 300 Gaussian points in dim dimensions, with its leading
+    eigenvectors given the eigenvalues 1 and then eigenvalues."""
+    cloud = da.PointCloud(np.random.default_rng(7).normal(size=(300, dim)))
+    model = da.build_model(cloud)
+    spec = model.spectrum
+    lam = np.array([1.0, *eigenvalues])
+    return dataclasses.replace(model, spectrum=da.SpectralDecomposition(
+        eigenvalues=lam, basis=spec.basis[:, :lam.size], stationary=spec.stationary))
+
+
+def _spy_proposers(monkeypatch):
+    """The candidate generator of every search run while the test runs."""
+    used = []
+    for name in ("_tree_proposer", "_gemm_proposer"):
+        def spy(coords, real=getattr(graph, name), name=name):
+            used.append(name)
+            return real(coords)
+
+        monkeypatch.setattr(graph, name, spy)
+    return used
+
+
+@pytest.mark.parametrize("dim, eigenvalues, proposer", [
+    # 24 equal weights, so the weighted column count is 24
+    (2, [0.9] * 24, "_tree_proposer"),
+    (_TREE_MAX_DIM, [0.9] * 24, "_tree_proposer"),
+    (_TREE_MAX_DIM + 1, [0.9] * 24, "_gemm_proposer"),
+    (200, [0.9] * 24, "_gemm_proposer"),
+    # nine equal weights and the rest 0: a count of 9, and of 8 with eight
+    (200, [0.9] * 9 + [0.0] * 15, "_gemm_proposer"),
+    (200, [0.9] * 8 + [0.0] * 16, "_tree_proposer"),
+    # one weight dominates: a count near 1
+    (200, [0.9] + [0.01] * 23, "_tree_proposer"),
+])
+def test_nearest_denser_search_takes_the_proposer_of_its_width(
+        monkeypatch, dim, eigenvalues, proposer):
+    """scores_at searches at the width min(data dimension, weighted column
+    count), on the tree at or below _TREE_MAX_DIM and on GEMM above it."""
+    model = _model_with(dim, eigenvalues)
+    used = _spy_proposers(monkeypatch)
+    emb, scores = model.scores_at(1.0)
+    assert used == [proposer]
+    exp_rho, exp_nearest = brute_force_nearest_denser(emb.coords, model.density.p)
+    assert np.array_equal(scores.rho, exp_rho)
+    assert np.array_equal(scores.nearest_higher, exp_nearest)

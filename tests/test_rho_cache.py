@@ -26,9 +26,9 @@ def searches(monkeypatch):
     calls = []
     real = pipeline.nearest_denser_points
 
-    def spy(emb, dens):
+    def spy(emb, dens, width):
         calls.append(emb.t)
-        return real(emb, dens)
+        return real(emb, dens, width)
 
     monkeypatch.setattr(pipeline, "nearest_denser_points", spy)
     return calls
