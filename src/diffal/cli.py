@@ -245,23 +245,28 @@ def choose_time(model: DiffusionModel,
     Scans a log10 grid and picks the median time whose estimated cluster
     count equals the number of classes in truth (only that count is read
     from the labels), with the scan's embedding and scores at it.  When no
-    grid time matches, it takes the scan's scores at the middle grid time,
-    or raises the NumericalError that scoring that time raised.
+    grid time matches, it takes the scan's scores at the scored grid time
+    nearest the middle one (the earlier of two as near), or raises the
+    NumericalError of the middle time when no time could be scored.
     """
     num_classes = _num_classes(truth)
     grid = log_t_grid(*AUTO_T_GRID)
+    middle = len(grid) // 2
     matches = []
+    nearest = None  # (grid steps from the middle, (t, embedding, scores))
     for i, (t, scored, k_hat) in enumerate(_scan(model, grid)):
-        if i == len(grid) // 2:
-            middle = float(t), scored
+        if isinstance(scored, NumericalError):
+            if i == middle:
+                error = scored
+        elif nearest is None or abs(i - middle) < nearest[0]:
+            nearest = abs(i - middle), (float(t), *scored)
         if not isinstance(k_hat, NumericalError) and k_hat == num_classes:
             matches.append((float(t), *scored))
     if matches:
         return matches[len(matches) // 2]
-    t, scored = middle
-    if isinstance(scored, NumericalError):
-        raise scored
-    return (t, *scored)
+    if nearest is None:
+        raise error
+    return nearest[1]
 
 
 def _prepare_scores(cfg: dict, cloud: PointCloud, truth: np.ndarray | None):

@@ -1032,13 +1032,12 @@ def test_auto_t_searches_half_integer_times_despite_a_negative_eigenvalue(
     live = [float(t) for t in da.log_t_grid(*AUTO_T_GRID) if _searched(model, t)]
     assert any(not np.log10(t).is_integer() for t in live)
     searches = _spy_searches(monkeypatch)
-    # no grid time reads k_hat = 3 here, so the scan's own middle time is
-    # taken; at t = 1000 every weighted spread underflows, so that time's
-    # zero-mode-score error is raised: one search per live grid time, and
-    # none at t = 1000
+    # no grid time reads k_hat = 3 here, and at the middle time, t = 1000,
+    # every weighted spread underflows, so the scored time nearest it,
+    # 10^2.5, is taken: one search per live grid time, none at t = 1000
     assert run_cli("lund", "--data", str(points), "--truth", str(labels), "--t", "auto",
-                   "--out", str(tmp_path / "labels.txt")) == 4
-    assert "zero mode score at t=1000" in capsys.readouterr().err
+                   "--out", str(tmp_path / "labels.txt")) == 0
+    assert capsys.readouterr().out.startswith(f"t={10 ** 2.5:.6g} ")
     assert len(live) == 6 and searches == live
 
 
@@ -1072,6 +1071,29 @@ def test_auto_t_takes_the_scans_scores_at_the_middle_time_when_no_count_is_read(
     t, emb, scores = cli.choose_time(ZeroScores(), np.array([1, 2]))
     assert (t, emb) == (1000.0, "embedding at 1000") and scores is zeros
     assert calls == [float(t) for t in da.log_t_grid(*AUTO_T_GRID)]
+
+
+@pytest.mark.parametrize("scorable, chosen", [
+    (lambda t: t < 1000, 5),  # 10^2.5, the earlier of 10^2.5 and 10^3.5
+    (lambda t: t < 100 or t > 1000, 7),  # 10^3.5
+    (lambda t: t > 1000, 7),
+])
+def test_auto_t_takes_the_scored_time_nearest_an_unscorable_middle_time(scorable, chosen):
+    """When no count matches and the middle time (10^3, grid index 6)
+    cannot be scored, the scan's scores at the scored grid time nearest it
+    are returned."""
+    chosen = float(da.log_t_grid(*AUTO_T_GRID)[chosen])
+    zeros = da.ModeScores(rho=np.zeros(4), score=np.zeros(4), order=np.arange(4),
+                          nearest_higher=np.zeros(4, dtype=np.int64))
+
+    class PartlyScorable:
+        def scores_at(self, t):
+            if not scorable(t):
+                raise da.NumericalError(f"no scores at t={t:g}")
+            return f"embedding at {t:g}", zeros
+
+    t, emb, scores = cli.choose_time(PartlyScorable(), np.array([1, 2]))
+    assert (t, emb) == (chosen, f"embedding at {chosen:g}") and scores is zeros
 
 
 def test_scan_t_truth_with_unlabeled_points(tmp_path):
