@@ -191,21 +191,29 @@ def resolve_dataset(cfg: dict,
     return cloud, truth, os.path.basename(str(path)), None
 
 
-def _make_dirs(*paths) -> None:
-    """Create each output directory (None: not asked for) with its parents;
-    a path that cannot be made a directory is a config error.  Commands
-    call it before any work, so a bad path costs no trial or graph."""
-    for path in filter(None, paths):
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot create directory {path}: {exc.strerror}") from None
+def _check_outputs(files=(), directory=None) -> None:
+    """Raise ConfigError, before any input is read and creating nothing, for a
+    file output (None: not asked for) that is a directory, lies in no directory
+    or is named twice, or an output directory that is or lies under a file."""
+    paths = [path for path in files if path]
+    for i, path in enumerate(paths):
+        if os.path.realpath(path) in map(os.path.realpath, paths[:i]):
+            raise ConfigError(f"two outputs name one file: {path}")
+        if os.path.isdir(path):
+            raise ConfigError(f"output file {path} is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise ConfigError(f"the directory of output file {path} does not exist")
+    if directory is not None:
+        existing = os.path.abspath(directory)
+        while not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing):
+            raise ConfigError(f"output directory {directory}: {existing} is not a directory")
 
 
 def build_model_from_config(cfg: dict, cloud: PointCloud) -> DiffusionModel:
-    if cfg.get("num_eigs") is not None:  # before the --cache directory is made
+    if cfg.get("num_eigs") is not None:  # a count flag, like --budget, fails before any build
         _check_count("num_eigs", cfg["num_eigs"], cloud.n)
-    _make_dirs(cfg.get("cache"))
     return build_model(
         cloud,
         k=cfg.get("k"),
@@ -316,8 +324,8 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
     trials = int(cfg["trials"])
     if trials < 1:
         raise ConfigError("trials must be at least 1")
+    _check_outputs(directory=out_dir)
     cloud, truth, dataset_name, generator_args = resolve_dataset(cfg)
-    _make_dirs(cfg.get("cache"), out_dir)
     if truth is None:
         raise ConfigError("file datasets need a `truth` labels path")
     if set(methods) - {"lund"}:
@@ -364,6 +372,7 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
                     add_row(method, budget, trial, result.labels)
 
     rows.sort()
+    os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
     with open(results_path, "w", encoding="utf-8") as fh:
         fh.write("dataset,method,budget_or_level,seed,oa,aa,kappa\n")
@@ -441,17 +450,8 @@ def _cfg_from_args(args) -> dict:
 
 
 def _read_inputs(args, *outputs) -> tuple[dict, PointCloud, np.ndarray | None]:
-    """(cfg, cloud, truth) of a command; first, an output file (None: not
-    asked for) that is a directory, whose directory does not exist, or that
-    another output also names, is a config error."""
-    paths = [path for path in outputs if path]
-    for i, path in enumerate(paths):
-        if os.path.realpath(path) in map(os.path.realpath, paths[:i]):
-            raise ConfigError(f"two outputs name one file: {path}")
-        if os.path.isdir(path):
-            raise ConfigError(f"output file {path} is a directory")
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise ConfigError(f"the directory of output file {path} does not exist")
+    """(cfg, cloud, truth) of a command whose output files pass _check_outputs."""
+    _check_outputs(outputs)
     cfg = _cfg_from_args(args)
     return (cfg, *resolve_dataset(cfg, args)[:2])
 
@@ -471,9 +471,10 @@ def _add_input_flags(sub) -> None:
 
 
 def cmd_gen_data(args) -> int:
+    _check_outputs(directory=args.out)
     cfg = _cfg_from_args(args)
     (cloud, truth, *coarse), arguments = _generate(cfg)
-    _make_dirs(args.out)
+    os.makedirs(args.out, exist_ok=True)
     if coarse:
         save_labels(os.path.join(args.out, "truth_coarse.txt"), coarse[0])
     save_csv(os.path.join(args.out, "points.csv"), cloud)
@@ -680,7 +681,7 @@ def main(argv=None) -> int:
     except (DataError, BudgetExceededError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: a write or --cache failed
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     finally:

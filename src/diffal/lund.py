@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 from .dataset import _check_count, _check_levels, validate_labels
 from .geometry import DensityEstimate, DiffusionEmbedding, ModeScores, global_density_maximizer
 from .graph import _BLOCK_ELEMENTS, NumericalError
-from .metrics import _ClassCounts, _labeled
+from .metrics import _ClassCounts, _labeled, purity
 
 
 @dataclass(frozen=True)
@@ -198,8 +198,7 @@ def lund_purity_curve(
                 k -= 1
             out[ell] = counts.purity()
     for ell in sorted(set(levels).difference(out)):
-        labels = lund_k(scores, dens, emb, ell).labels
-        out[ell] = _ClassCounts(labels, truth, mask).purity()
+        out[ell] = purity(lund_k(scores, dens, emb, ell).labels, truth)
     return [out[ell] for ell in levels]
 
 

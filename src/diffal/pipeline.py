@@ -141,7 +141,9 @@ def build_model(
     precision.  Fewer than two points, or a default sigma of 0 (every k-th
     neighbor distance is 0), is a DataError, the first also a ValueError; an
     explicit sigma or sigma0 that is not positive (NaN included) is a
-    ValueError.
+    ValueError.  cache_dir, when given, is created (with its parents) only
+    after the num_eigs, sigma and sigma0 checks, and before the neighbor
+    search; one that cannot be created raises OSError.
     """
     n = cloud.n
     if n < 2:

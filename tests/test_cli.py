@@ -382,7 +382,7 @@ class TestBench:
         assert code == 2
         assert err.startswith("config error:") and message in err
         assert builds == []
-        assert not (out / "results.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("extra, message", [
         ({"methods": "land,land", "budgets": "3"}, "method 'land' is listed more than once"),
@@ -751,6 +751,57 @@ class TestOutputPaths:
                        "--sizes", "40,40,40", "--out", str(afile / "sub")) == 2
         assert _one_line(capsys, "config")
         assert afile.read_text() == "keep\n"
+
+
+_DATA = ["--data", "points.csv", "--truth", "truth.txt"]
+_BENCH = ["bench", "--dataset", "points.csv", "--methods", "land", "--t", "100",
+          "--out", "out", "--cache", "cache"]
+_GRAPH_COMMANDS = [
+    ["lund", *_DATA, "--t", "100", "--out", "labels.txt"],
+    ["land", *_DATA, "--t", "100", "--budget", "3", "--out", "labels.txt"],
+    ["purity", *_DATA, "--t", "100", "--levels", "3", "--out", "purity.csv"],
+    ["scan-t", *_DATA, "--t-grid", "0:1:1", "--out", "scan.csv"],
+    ["build-graph", "--data", "points.csv"],
+]
+
+
+@pytest.fixture()
+def inputs_only(tmp_path, monkeypatch):
+    """Work in an empty directory holding a connected two-blob cloud, its
+    truth and a truth with one 0; return a check that nothing else is there."""
+    cloud, truth = da.gen_gaussians([[0.0, 0.0], [4.0, 0.0]], 1.0, [60, 60], seed=100)
+    da.save_csv(tmp_path / "points.csv", cloud)
+    da.save_labels(tmp_path / "truth.txt", truth)
+    da.save_labels(tmp_path / "zero.txt", np.where(np.arange(cloud.n) == 4, 0, truth))
+    monkeypatch.chdir(tmp_path)
+    return lambda: sorted(p.name for p in tmp_path.iterdir()) == [
+        "points.csv", "truth.txt", "zero.txt"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (_BENCH + ["--budgets", "3"], 2),  # a file dataset without truth
+    (_BENCH + ["--budgets", "3", "--truth", "zero.txt"], 3),
+    (_BENCH + ["--truth", "truth.txt", "--budgets", "5000"], 2),
+    (_BENCH + ["--truth", "truth.txt", "--budgets", "3", "--t", "foo"], 2),
+    (_BENCH + ["--truth", "truth.txt", "--budgets", "3", "--num-eigs", "0"], 2),
+    (_BENCH + ["--truth", "truth.txt", "--budgets", "3", "--sigma", "-1"], 2),
+    (_BENCH + ["--truth", "truth.txt", "--budgets", "3", "--sigma0", "0"], 2),
+    *[(command + ["--cache", "cache", flag, value], 2) for command in _GRAPH_COMMANDS
+      for flag, value in (("--sigma", "-1"), ("--sigma0", "nan"))],
+], ids=lambda value: " ".join([value[0], *value[-2:]]) if isinstance(value, list) else None)
+def test_a_failed_command_leaves_only_its_inputs(inputs_only, capsys, argv, code):
+    assert run_cli(*argv) == code
+    assert _one_line(capsys, "config" if code == 2 else "data")
+    assert inputs_only()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [command[:-1] for command in _GRAPH_COMMANDS[:4]],
+                         ids=lambda command: command[0])
+def test_an_output_that_cannot_be_written_is_a_config_error(inputs_only, capsys, command):
+    assert run_cli(*command, "/dev/full") == 2
+    err = capsys.readouterr().err
+    assert err == "config error: [Errno 28] No space left on device\n"
 
 
 def _one_line(capsys, kind):
@@ -1309,7 +1360,7 @@ def test_bandwidth_that_is_not_positive_fails_before_the_graph(
     err = capsys.readouterr().err.strip()
     assert err == f"config error: {flag[2:]} must be positive, got {float(value)}"
     assert searches == []
-    assert not cache.exists() or list(cache.iterdir()) == []
+    assert not cache.exists()
     assert not out.exists()
 
 

@@ -1,9 +1,11 @@
 """The public surface of the library is what the program calls.
 
 Every public module-level function or class of `src/diffal` must be read,
-as a name or an attribute, somewhere in the program: in `src/diffal`
-outside its own definition and outside `__init__.py`, or in the benchmark
-under `perfbench`.  A definition that only tests or the README reach
+as a name or as an attribute of a module (`da.purity`, `diffal.cli.main`),
+somewhere in the program: in `src/diffal` outside its own definition and
+outside `__init__.py`, or in the benchmark under `perfbench`.  A read of
+an attribute of anything else (`counts.purity()`) is a method or a field,
+not the definition.  A definition that only tests or the README reach
 belongs in the tests.
 
 Every field of a `src/diffal` dataclass must be read as an attribute
@@ -20,8 +22,33 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def dotted(node: ast.expr) -> str | None:
+    """`a.b.c` for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return None
+
+
+def module_names(tree: ast.Module) -> set[str]:
+    """The dotted names that `import` statements bind to modules: `import
+    diffal.cli` binds `diffal` and `diffal.cli`, `import diffal as da` `da`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                out |= {alias.asname} if alias.asname else {
+                    ".".join(parts[:i]) for i in range(1, len(parts) + 1)}
+    return out
+
+
 def referenced_names(tree: ast.Module, path: Path) -> set[tuple[str, tuple[Path, str | None]]]:
-    """(name read, (file, top-level definition it is read in)) pairs."""
+    """(name read, (file, top-level definition it is read in)) pairs, for
+    each name and each attribute of a module."""
+    modules = module_names(tree)
     out = set()
     for node in tree.body:
         owner = node.name if isinstance(
@@ -29,7 +56,7 @@ def referenced_names(tree: ast.Module, path: Path) -> set[tuple[str, tuple[Path,
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
                 out.add((sub.id, (path, owner)))
-            elif isinstance(sub, ast.Attribute):
+            elif isinstance(sub, ast.Attribute) and dotted(sub.value) in modules:
                 out.add((sub.attr, (path, owner)))
     return out
 
