@@ -3,12 +3,14 @@ nearest-denser results.
 
 Entries are keyed by a content hash of the points plus the parameters that
 produced them, stored as pickle-free files of named arrays (write_arrays)
-carrying a format version, so stale layouts are rejected instead of
-misread.  An entry that cannot be trusted counts as a miss and is
-overwritten by the recomputed result: one that cannot be read (truncated,
-corrupt), that lacks an array, or whose arrays do not have the shapes the
-caller expects from n, k and num_eigs and the dtypes int64 (indices) and
-float64 (values).  Spectrum keys carry the eigensolver version, so spectra
+whose header holds a magic, the format version (3), the array count and
+each array's name, dtype, ndim and shape.  The reader is told the arrays it
+expects (read_arrays), builds their header and compares the file's bytes
+with it; it parses nothing.  An entry that differs in any byte or in length
+is a miss and is overwritten by the recomputed result, so an entry written
+in an older format, or whose arrays lack the shapes the caller expects from
+n, k and num_eigs or the dtypes int64 (indices) and float64 (values), is
+recomputed once.  Spectrum keys carry the eigensolver version, so spectra
 cached by an older solver are recomputed.
 
 A "rho" entry holds geometry.nearest_denser_points's two arrays at one
@@ -30,14 +32,13 @@ import numpy as np
 
 from .graph import NeighborLists, SpectralDecomposition
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
-# An entry file is _MAGIC, the number of arrays, one _ARRAY_HEAD plus its
-# shape per array (integers little-endian), then every array's bytes in C
+# An entry file is _header of its arrays, then every array's bytes in C
 # order and header order, in the byte order its dtype string names.  Reading
-# one is a single read and a view per array: 34 us for a rho entry of 1 460
-# points on one core of a shared 2-vCPU x86 machine, against 306 us for
-# np.load of the same arrays as an .npz archive, whose zip directory and
+# one is a single readinto and a view per array: 17-27 us for a rho entry of
+# 1 460 points on one core of a shared 2-vCPU x86 machine, against 306 us
+# for np.load of the same arrays as an .npz archive, whose zip directory and
 # per-array headers dominate.
 _MAGIC = b"DIFFALCA"
 _ARRAY_HEAD = struct.Struct("<16s8sI")  # name, numpy dtype string, ndim
@@ -69,54 +70,47 @@ def params_key(points_state, **params) -> str:
     return h.hexdigest()
 
 
+def _header(layout) -> bytes:
+    """The header of an entry holding the (name, dtype, shape) triples of
+    layout: _MAGIC, FORMAT_VERSION and the array count, then one _ARRAY_HEAD
+    and the shape per array, integers little-endian."""
+    head = [_MAGIC, struct.pack("<2I", FORMAT_VERSION, len(layout))]
+    for name, dtype, shape in layout:
+        dtype = np.dtype(dtype)
+        if len(name) > 16 or dtype.hasobject:
+            raise ValueError(f"cannot store array {name!r} of dtype {dtype}")
+        head.append(_ARRAY_HEAD.pack(name.encode("ascii"), dtype.str.encode("ascii"), len(shape)))
+        head.append(struct.pack(f"<{len(shape)}q", *shape))
+    return b"".join(head)
+
+
 def write_arrays(fh, arrays: dict) -> None:
     """Write named numeric arrays to the binary file fh as one entry."""
     values = [np.ascontiguousarray(value) for value in arrays.values()]
-    head = [_MAGIC, struct.pack("<I", len(values))]
-    for name, value in zip(arrays, values):
-        if len(name) > 16 or value.dtype.hasobject:
-            raise ValueError(f"cannot store array {name!r} of dtype {value.dtype}")
-        head.append(_ARRAY_HEAD.pack(name.encode("ascii"), value.dtype.str.encode("ascii"),
-                                     value.ndim))
-        head.append(struct.pack(f"<{value.ndim}q", *value.shape))
-    fh.write(b"".join(head))
+    fh.write(_header([(name, value.dtype, value.shape) for name, value in zip(arrays, values)]))
     for value in values:
         fh.write(value.tobytes())
 
 
-def read_arrays(path) -> dict:
-    """The named arrays of an entry file, as writable arrays.
+def read_arrays(path, layout) -> dict:
+    """The arrays of the entry file at path by name, as writable arrays, when
+    it holds exactly the (name, dtype, shape) triples of layout in that order.
 
-    Raises OSError when the file cannot be read, and ValueError, TypeError
-    or struct.error when its bytes are not one whole entry: a bad magic,
-    a header past the end, a dtype that is not numeric, or a size other
-    than the headers add up to.
+    Raises OSError when the file cannot be read, and ValueError when its
+    bytes are not that entry's header followed by that many array bytes.
     """
+    head = _header(layout)
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for _, dtype, shape in layout]
+    # one byte more than the entry needs, so an overlong file shows
+    buf = bytearray(len(head) + sum(sizes) + 1)
     with open(path, "rb") as fh:
-        buf = bytearray(fh.read())
-    if buf[:len(_MAGIC)] != _MAGIC:
-        raise ValueError("not a cache entry")
-    (count,) = struct.unpack_from("<I", buf, len(_MAGIC))
-    pos = len(_MAGIC) + 4
-    heads = []
-    for _ in range(count):
-        name, code, ndim = _ARRAY_HEAD.unpack_from(buf, pos)
-        pos += _ARRAY_HEAD.size
-        if ndim > 32:
-            raise ValueError(f"array of {ndim} dimensions")
-        shape = struct.unpack_from(f"<{ndim}q", buf, pos)
-        pos += 8 * ndim
-        dtype = np.dtype(code.rstrip(b"\0").decode("ascii"))
-        if dtype.hasobject or any(size < 0 for size in shape):
-            raise ValueError(f"array of dtype {dtype} and shape {shape}")
-        heads.append((name.rstrip(b"\0").decode("ascii"), dtype, shape))
-    arrays = {}
-    for name, dtype, shape in heads:
-        size = math.prod(shape)
-        arrays[name] = np.frombuffer(buf, dtype, size, pos).reshape(shape)
-        pos += size * dtype.itemsize
-    if pos != len(buf):
-        raise ValueError(f"entry of {len(buf)} bytes, its headers add up to {pos}")
+        size = fh.readinto(buf)
+    if size != len(buf) - 1 or buf[:len(head)] != head:
+        raise ValueError(f"{path} is not the entry its layout describes")
+    arrays, pos = {}, len(head)
+    for (name, dtype, shape), nbytes in zip(layout, sizes):
+        arrays[name] = np.frombuffer(buf, dtype, math.prod(shape), pos).reshape(shape)
+        pos += nbytes
     return arrays
 
 
@@ -129,26 +123,19 @@ class DiffusionCache:
         return os.path.join(self.directory, f"{kind}_{key}.bin")
 
     def _load(self, kind: str, key: str, cls, shapes: dict):
-        """The entry as a cls built from the arrays named in shapes, or None
-        when it is missing, stale, unreadable, lacks one of those arrays or
-        holds one whose shape is not shapes[name] or whose dtype is not
-        int64 (_INDEX_ARRAYS) or float64."""
+        """The entry as a cls, or None unless it holds cls's fields in order,
+        each of shape shapes[name] and of dtype int64 (_INDEX_ARRAYS) or
+        float64."""
+        layout = [(field.name, np.int64 if field.name in _INDEX_ARRAYS else np.float64,
+                   shapes[field.name]) for field in fields(cls)]
         try:
-            arrays = read_arrays(self._path(kind, key))
-        except (OSError, ValueError, TypeError, struct.error):
+            arrays = read_arrays(self._path(kind, key), layout)
+        except (OSError, ValueError):
             return None
-        version = arrays.get("format_version")
-        if version is None or version.shape != (1,) or version[0] != FORMAT_VERSION:
-            return None
-        if any(name not in arrays or arrays[name].shape != want
-               or arrays[name].dtype != (np.int64 if name in _INDEX_ARRAYS else np.float64)
-               for name, want in shapes.items()):
-            return None
-        return cls(**{name: arrays[name] for name in shapes})
+        return cls(**arrays)
 
     def _save(self, kind: str, key: str, entry) -> None:
         arrays = {field.name: getattr(entry, field.name) for field in fields(entry)}
-        arrays["format_version"] = np.array([FORMAT_VERSION], dtype=np.int64)
         # a temp file of its own per writer, renamed into place atomically,
         # so concurrent writers of one entry never mix their bytes
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")

@@ -28,6 +28,7 @@ from .dataset import (
     DataError,
     PointCloud,
     _check_count,
+    _open_output,
     _read_lines,
     load_csv,
     load_hsi_cube,
@@ -374,7 +375,7 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
     rows.sort()
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, "results.csv")
-    with open(results_path, "w", encoding="utf-8") as fh:
+    with _open_output(results_path) as fh:
         fh.write("dataset,method,budget_or_level,seed,oa,aa,kappa\n")
         for row in rows:
             fh.write(
@@ -400,7 +401,7 @@ def run_experiment(cfg: dict, out_dir) -> tuple[str, str]:
     if generator_args is not None:
         manifest["resolved"]["generator_args"] = generator_args
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with _open_output(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return results_path, manifest_path
@@ -411,7 +412,7 @@ def scan_t(cfg: dict, cloud: PointCloud, truth: np.ndarray | None,
     """Per-t cluster-count estimates (plus separation stats when truth given)."""
     grid = log_t_grid(*grid_log10)
     model = build_model_from_config(cfg, cloud)
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with _open_output(out_path) as fh:
         top_cols = ",".join(f"score_{i}" for i in range(1, 11))
         fh.write(f"t_log10,k_hat,d_in,d_btw,{top_cols}\n")
         for t, scored, k_hat in _scan(model, grid):
@@ -486,7 +487,7 @@ def cmd_gen_data(args) -> int:
         "dim": cloud.dim,
         "points_sha256": _sha256_of(cloud.points),
     }
-    with open(os.path.join(args.out, "manifest.json"), "w", encoding="utf-8") as fh:
+    with _open_output(os.path.join(args.out, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {cloud.n} points to {args.out}")
@@ -579,7 +580,7 @@ def cmd_purity(args) -> int:
     _check_count("--levels", args.levels, cloud.n)
     model, t, emb, scores = _prepare_scores(cfg, cloud, truth)
     levels = list(range(1, args.levels + 1))
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_output(args.out) as fh:
         fh.write("level,purity,method\n")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

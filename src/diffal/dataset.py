@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,19 @@ def _check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+@contextmanager
+def _open_output(path):
+    """path opened for writing UTF-8 text; an OSError of a write or of the
+    closing flush (a full disk) names path, as one raised by open does."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        if exc.filename is not None:
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+
+
 def _check_levels(levels, n: int) -> list:
     levels = list(levels)
     for ell in levels:
@@ -140,7 +154,7 @@ def load_csv(path) -> PointCloud:
 
 
 def save_csv(path, cloud: PointCloud) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         for row in cloud.points:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
@@ -148,7 +162,7 @@ def save_csv(path, cloud: PointCloud) -> None:
 def save_labels(path, labels) -> None:
     """Write one integer per line; line i is the label of point i."""
     arr = validate_labels(labels)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         for v in arr:
             fh.write(f"{int(v)}\n")
 
@@ -233,7 +247,7 @@ def load_hsi_header(path) -> HsiCubeHeader:
 
 
 def save_hsi_header(path, header: HsiCubeHeader) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         fh.write(f"rows {header.rows}\n")
         fh.write(f"cols {header.cols}\n")
         fh.write(f"bands {header.bands}\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import _check_positive
+from .dataset import _check_positive, _open_output
 from .graph import NeighborLists, SpectralDecomposition, _exact_search, _proposer_for
 
 
@@ -160,7 +160,7 @@ def mode_scores(
 
 def save_mode_scores_csv(path, scores: ModeScores, dens: DensityEstimate) -> None:
     """Write (index, density, rho, score) rows for plotting."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         fh.write("index,p,rho,score\n")
         for i in range(scores.n):
             fh.write(

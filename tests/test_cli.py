@@ -801,7 +801,7 @@ def test_a_failed_command_leaves_only_its_inputs(inputs_only, capsys, argv, code
 def test_an_output_that_cannot_be_written_is_a_config_error(inputs_only, capsys, command):
     assert run_cli(*command, "/dev/full") == 2
     err = capsys.readouterr().err
-    assert err == "config error: [Errno 28] No space left on device\n"
+    assert err == "config error: [Errno 28] No space left on device: '/dev/full'\n"
 
 
 def _one_line(capsys, kind):

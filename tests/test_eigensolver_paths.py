@@ -284,12 +284,15 @@ class TestUntrustedCacheEntries:
         cache = da.DiffusionCache(tmp_path)
         if array in ("indices", "distances"):
             kind, load, shape = "nb", cache.load_neighbors, (cloud.n, self.K)
+            layout = [("indices", np.int64, shape), ("distances", np.float64, shape)]
         else:
             kind, load = "eig", cache.load_spectrum
             shape = (cloud.n, da.default_num_eigs(cloud.n))
+            layout = [("eigenvalues", np.float64, shape[1:]), ("basis", np.float64, shape),
+                      ("stationary", np.float64, shape[:1])]
         (path,) = tmp_path.glob(f"{kind}_*.bin")
         key = path.stem.split("_", 1)[1]
-        good = read_arrays(path)
+        good = read_arrays(path, layout)
         bad = dict(good)
         if fault == "misshapen":
             bad[array] = good[array][:-1]
@@ -302,7 +305,7 @@ class TestUntrustedCacheEntries:
         assert load(key, shape=shape) is None
 
         self._assert_same(da.build_model(cloud, k=self.K, cache_dir=tmp_path), fresh)
-        data = read_arrays(path)
+        data = read_arrays(path, layout)
         assert sorted(data) == sorted(good)
         assert all(np.array_equal(data[name], good[name]) for name in good)
         assert load(key, shape=shape) is not None

@@ -1,4 +1,3 @@
-import struct
 import warnings
 
 import numpy as np
@@ -338,7 +337,8 @@ class TestCache:
         path = tmp_path / "entry.bin"
         with open(path, "wb") as fh:
             write_arrays(fh, arrays)
-        loaded = read_arrays(path)
+        loaded = read_arrays(path, [(name, value.dtype, value.shape)
+                                    for name, value in arrays.items()])
         assert list(loaded) == list(arrays)
         for name, want in arrays.items():
             assert loaded[name].dtype == want.dtype
@@ -354,5 +354,5 @@ class TestCache:
         data = {"magic": b"X" + data[1:], "short": data[:-1], "trailing byte": data + b"\0",
                 "object dtype": data.replace(b"<f8", b"|O\0")}[damage]
         path.write_bytes(data)
-        with pytest.raises((ValueError, TypeError, struct.error)):
-            read_arrays(path)
+        with pytest.raises(ValueError):
+            read_arrays(path, [("rho", np.float64, (4,))])

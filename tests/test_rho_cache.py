@@ -7,6 +7,7 @@ outputs equal uncached ones bit for bit."""
 
 import json
 import os
+import struct
 import tempfile
 
 import numpy as np
@@ -120,6 +121,23 @@ def test_outputs_are_byte_identical_with_and_without_a_cache(dataset, tmp_path):
     assert outputs["warm"] == outputs["none"]
 
 
+def _rho_layout(n):
+    """The (name, dtype, shape) triples of a rho entry of n points."""
+    return [("rho", np.float64, (n,)), ("nearest_higher", np.int64, (n,))]
+
+
+def _format_2_entry(arrays):
+    """The bytes of arrays as the format-2 writer stored them: the magic, the
+    array count, a (name, dtype string, ndim) head and the shape per array,
+    a format_version array [2] last, then every array's bytes."""
+    arrays = {**arrays, "format_version": np.array([2], dtype=np.int64)}
+    head = [b"DIFFALCA", struct.pack("<I", len(arrays))]
+    for name, value in arrays.items():
+        head += [struct.pack("<16s8sI", name.encode(), value.dtype.str.encode(), value.ndim),
+                 struct.pack(f"<{value.ndim}q", *value.shape)]
+    return b"".join(head + [value.tobytes() for value in arrays.values()])
+
+
 class TestUntrustedRhoEntries:
     T = 10
 
@@ -128,23 +146,25 @@ class TestUntrustedRhoEntries:
         cloud = da.PointCloud(np.random.default_rng(42).normal(size=(100, 2)))
         return da.build_model(cloud, k=6, cache_dir=tmp_path)
 
-    @pytest.mark.parametrize("fault", ["truncated", "stale", "misshapen rho",
+    @pytest.mark.parametrize("fault", ["truncated", "stale", "format 2", "misshapen rho",
                                        "misshapen nearest_higher", "missing rho",
                                        "missing nearest_higher", "retyped rho",
                                        "retyped nearest_higher"])
     def test_untrusted_entry_is_a_miss_and_overwritten(self, tmp_path, searches, fault):
         _, want = self._model(tmp_path).scores_at(self.T)
         (path,) = tmp_path.glob("rho_*.bin")
-        good = read_arrays(path)
+        good = read_arrays(path, _rho_layout(100))
+        data = path.read_bytes()
         if fault == "truncated":
-            data = path.read_bytes()
             path.write_bytes(data[: len(data) // 2])
+        elif fault == "stale":  # the header's version field, after the 8-byte magic, reads 2
+            path.write_bytes(data[:8] + struct.pack("<I", 2) + data[12:])
+        elif fault == "format 2":  # an entry as the previous format wrote it
+            path.write_bytes(_format_2_entry(good))
         else:
             bad = dict(good)
             how, _, array = fault.partition(" ")
-            if how == "stale":
-                bad["format_version"] = good["format_version"] + 1
-            elif how == "misshapen":
+            if how == "misshapen":
                 bad[array] = good[array][:-1]
             elif how == "retyped":  # same shape, float indices or single-precision rho
                 bad[array] = good[array].astype(np.float64 if array == "nearest_higher"
@@ -162,7 +182,7 @@ class TestUntrustedRhoEntries:
         assert searches == [float(self.T)]
         for name in ("rho", "nearest_higher", "score", "order"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
-        data = read_arrays(path)
+        data = read_arrays(path, _rho_layout(100))
         assert sorted(data) == sorted(good)
         assert all(np.array_equal(data[name], good[name]) for name in good)
         assert sorted(p.suffix for p in tmp_path.iterdir()) == [".bin"] * 3  # no temp file left
@@ -177,7 +197,7 @@ class TestUntrustedRhoEntries:
     def test_rho_entry_holds_16_bytes_per_point(self, tmp_path):
         model = self._model(tmp_path)
         model.scores_at(self.T)
-        data = read_arrays(next(tmp_path.glob("rho_*.bin")))
+        data = read_arrays(next(tmp_path.glob("rho_*.bin")), _rho_layout(model.n))
         assert sum(data[name].nbytes for name in ("rho", "nearest_higher")) == 16 * model.n
 
 
