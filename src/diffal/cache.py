@@ -3,15 +3,18 @@ nearest-denser results.
 
 Entries are keyed by a content hash of the points plus the parameters that
 produced them, stored as pickle-free files of named arrays (write_arrays)
-whose header holds a magic, the format version (3), the array count and
-each array's name, dtype, ndim and shape.  The reader is told the arrays it
-expects (read_arrays), builds their header and compares the file's bytes
-with it; it parses nothing.  An entry that differs in any byte or in length
-is a miss and is overwritten by the recomputed result, so an entry written
-in an older format, or whose arrays lack the shapes the caller expects from
-n, k and num_eigs or the dtypes int64 (indices) and float64 (values), is
-recomputed once.  Spectrum keys carry the eigensolver version, so spectra
-cached by an older solver are recomputed.
+whose header is a magic and one ASCII line, the repr of a list of the
+format version (4) and each array's (name, dtype string, shape), padded
+to a multiple of 8 bytes.  Each load_* method states its kind's layout;
+the reader (read_arrays) builds that layout's header and compares the
+file's bytes with it, parsing nothing.  An entry that differs in any byte
+or in length is a miss and is overwritten by the recomputed result, so an
+entry of an older format, or whose arrays lack the shapes the caller
+expects from n, k and num_eigs or the dtypes int64 (indices) and float64
+(values), is recomputed once.  Version-3 files, whose header was packed
+binary, are left on disk until their key is asked for again.  Spectrum
+keys carry the eigensolver version, so spectra cached by an older solver
+are recomputed.
 
 A "rho" entry holds geometry.nearest_denser_points's two arrays at one
 diffusion time, 16 bytes per point.  Its key hashes the points, k, sigma,
@@ -24,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import struct
 import tempfile
 from dataclasses import dataclass, fields
 
@@ -32,7 +34,7 @@ import numpy as np
 
 from .graph import NeighborLists, SpectralDecomposition
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # An entry file is _header of its arrays, then every array's bytes in C
 # order and header order, in the byte order its dtype string names.  Reading
@@ -41,8 +43,6 @@ FORMAT_VERSION = 3
 # for np.load of the same arrays as an .npz archive, whose zip directory and
 # per-array headers dominate.
 _MAGIC = b"DIFFALCA"
-_ARRAY_HEAD = struct.Struct("<16s8sI")  # name, numpy dtype string, ndim
-_INDEX_ARRAYS = ("indices", "nearest_higher")  # int64; every other array is float64
 
 
 @dataclass(frozen=True)
@@ -72,16 +72,19 @@ def params_key(points_state, **params) -> str:
 
 def _header(layout) -> bytes:
     """The header of an entry holding the (name, dtype, shape) triples of
-    layout: _MAGIC, FORMAT_VERSION and the array count, then one _ARRAY_HEAD
-    and the shape per array, integers little-endian."""
-    head = [_MAGIC, struct.pack("<2I", FORMAT_VERSION, len(layout))]
+    layout: _MAGIC, then the line repr([FORMAT_VERSION, (name, dtype string,
+    shape), ...]) in ASCII, padded with spaces to end at a multiple of 8
+    bytes."""
+    line = [FORMAT_VERSION]
     for name, dtype, shape in layout:
         dtype = np.dtype(dtype)
-        if len(name) > 16 or dtype.hasobject:
+        if dtype.hasobject:
             raise ValueError(f"cannot store array {name!r} of dtype {dtype}")
-        head.append(_ARRAY_HEAD.pack(name.encode("ascii"), dtype.str.encode("ascii"), len(shape)))
-        head.append(struct.pack(f"<{len(shape)}q", *shape))
-    return b"".join(head)
+        line.append((name, dtype.str, tuple(map(int, shape))))
+    head = _MAGIC + repr(line).encode("ascii")
+    # the arrays, of 8-byte items, load aligned: numpy sums a misaligned
+    # array through buffers, rounding otherwise than a fresh one
+    return head + b" " * (-(len(head) + 1) % 8) + b"\n"
 
 
 def write_arrays(fh, arrays: dict) -> None:
@@ -122,17 +125,13 @@ class DiffusionCache:
     def _path(self, kind: str, key: str) -> str:
         return os.path.join(self.directory, f"{kind}_{key}.bin")
 
-    def _load(self, kind: str, key: str, cls, shapes: dict):
-        """The entry as a cls, or None unless it holds cls's fields in order,
-        each of shape shapes[name] and of dtype int64 (_INDEX_ARRAYS) or
-        float64."""
-        layout = [(field.name, np.int64 if field.name in _INDEX_ARRAYS else np.float64,
-                   shapes[field.name]) for field in fields(cls)]
+    def _load(self, kind: str, key: str, cls, layout):
+        """The entry as a cls, or None unless it holds exactly the (name,
+        dtype, shape) triples of layout, cls's fields in order."""
         try:
-            arrays = read_arrays(self._path(kind, key), layout)
+            return cls(**read_arrays(self._path(kind, key), layout))
         except (OSError, ValueError):
             return None
-        return cls(**arrays)
 
     def _save(self, kind: str, key: str, entry) -> None:
         arrays = {field.name: getattr(entry, field.name) for field in fields(entry)}
@@ -150,7 +149,7 @@ class DiffusionCache:
     def load_neighbors(self, key: str, shape) -> NeighborLists | None:
         """The cached lists, or None; shape is the expected (n, k)."""
         return self._load("nb", key, NeighborLists,
-                          dict.fromkeys(("indices", "distances"), tuple(shape)))
+                          [("indices", np.int64, shape), ("distances", np.float64, shape)])
 
     def save_neighbors(self, key: str, nb: NeighborLists) -> None:
         self._save("nb", key, nb)
@@ -159,7 +158,8 @@ class DiffusionCache:
         """The cached spectrum, or None; shape is the expected (n, num_eigs)."""
         n, num_eigs = shape
         return self._load("eig", key, SpectralDecomposition,
-                          {"eigenvalues": (num_eigs,), "basis": (n, num_eigs), "stationary": (n,)})
+                          [("eigenvalues", np.float64, (num_eigs,)),
+                           ("basis", np.float64, (n, num_eigs)), ("stationary", np.float64, (n,))])
 
     def save_spectrum(self, key: str, spec: SpectralDecomposition) -> None:
         self._save("eig", key, spec)
@@ -167,7 +167,7 @@ class DiffusionCache:
     def load_rho(self, key: str, shape) -> NearestDenser | None:
         """The cached nearest-denser result, or None; shape is the expected (n,)."""
         return self._load("rho", key, NearestDenser,
-                          dict.fromkeys(("rho", "nearest_higher"), tuple(shape)))
+                          [("rho", np.float64, shape), ("nearest_higher", np.int64, shape)])
 
     def save_rho(self, key: str, entry: NearestDenser) -> None:
         self._save("rho", key, entry)

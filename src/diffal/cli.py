@@ -113,8 +113,6 @@ def parse_config(path) -> dict:
 def coerce_config(raw: dict) -> dict:
     cfg = dict(DEFAULT_CONFIG)
     for key, value in raw.items():
-        if value is None:
-            continue
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         caster = CONFIG_KEYS[key]

@@ -72,8 +72,6 @@ def propagate_labels(
         raise ValueError("at least one seed label is required")
     if emb.n != dens.n:
         raise ValueError(f"embedding has {emb.n} rows but density has {dens.n}")
-    if not np.any(labels == 0):
-        return labels
     n = dens.n
     up = _checked_forest(nearest_higher, n)
 

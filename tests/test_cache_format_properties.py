@@ -1,10 +1,13 @@
 """Cache entry files: every write_arrays entry of int64 and float64 arrays
 reads back bit for bit through read_arrays with its own layout, and the
 same entry one byte short, one byte long or with one header byte flipped
-is a ValueError."""
+is a ValueError.  Each DiffusionCache kind saved then loaded comes back
+bit for bit and aligned, its file starting with the magic and the padded
+text line of its layout, and loaded with a shape off by one it is a miss."""
 
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from diffal.cache import read_arrays, write_arrays
+import diffal as da
+from diffal.cache import NearestDenser, read_arrays, write_arrays
 
 
 @st.composite
@@ -65,3 +69,63 @@ def test_entry_round_trips_and_one_damaged_byte_is_refused(arrays, data):
                 read_arrays(path, layout)
     finally:
         os.unlink(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_each_kind_round_trips_and_a_shape_off_by_one_is_a_miss(n, k, num_eigs, data):
+    """shape is the one each load_* takes; the entry's fields are listed in
+    the dataclass's order, so a loader listing them otherwise misses."""
+    def array(dtype, shape):
+        return data.draw(hnp.arrays(dtype, shape))
+
+    kinds = {
+        "neighbors": ((n, k), da.NeighborLists(
+            indices=array(np.int64, (n, k)),
+            distances=array(np.float64, (n, k)))),
+        "spectrum": ((n, num_eigs), da.SpectralDecomposition(
+            eigenvalues=array(np.float64, (num_eigs,)),
+            basis=array(np.float64, (n, num_eigs)),
+            stationary=array(np.float64, (n,)))),
+        "rho": ((n,), NearestDenser(rho=array(np.float64, (n,)),
+                                    nearest_higher=array(np.int64, (n,)))),
+    }
+    with tempfile.TemporaryDirectory() as directory:
+        cache = da.DiffusionCache(directory)
+        for kind, (shape, entry) in kinds.items():
+            getattr(cache, f"save_{kind}")(kind, entry)
+            load = getattr(cache, f"load_{kind}")
+            loaded = load(kind, shape=shape)
+            assert type(loaded) is type(entry)
+            line = [4]
+            for field in fields(entry):
+                want, got = getattr(entry, field.name), getattr(loaded, field.name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.aligned
+                line.append((field.name, want.dtype.str, want.shape))
+            (name,) = [name for name in os.listdir(directory) if name.endswith(f"_{kind}.bin")]
+            with open(os.path.join(directory, name), "rb") as fh:
+                raw = fh.read()
+            # the magic, the layout's line, then spaces to a multiple of 8 bytes
+            head, end = b"DIFFALCA" + repr(line).encode(), raw.index(b"\n") + 1
+            assert end % 8 == 0 and raw[:end] == head + b" " * (end - 1 - len(head)) + b"\n"
+
+            side = data.draw(st.integers(0, len(shape) - 1))
+            step = data.draw(st.sampled_from([-1, 1]))
+            off = tuple(size + step * (i == side) for i, size in enumerate(shape))
+            assert load(kind, shape=off) is None
+
+
+def test_a_loaded_entry_sums_as_the_saved_one():
+    """Loaded arrays are aligned, so numpy reduces them as it reduces the
+    arrays saved; 9 000 rows put a column's mean past numpy's reduction
+    buffer of 8 192 elements, where a misaligned copy rounds otherwise."""
+    rng = np.random.default_rng(0)
+    nb = da.NeighborLists(indices=rng.integers(0, 9000, (9000, 10)),
+                          distances=np.sort(rng.random((9000, 10)), axis=1))
+    with tempfile.TemporaryDirectory() as directory:
+        cache = da.DiffusionCache(directory)
+        cache.save_neighbors("key", nb)
+        loaded = cache.load_neighbors("key", shape=(9000, 10))
+    assert da.default_sigma(loaded) == da.default_sigma(nb)

@@ -87,6 +87,16 @@ class TestPropagateLabels:
         with pytest.raises(ValueError, match="seed"):
             da.propagate_labels(np.zeros(dens.n, dtype=int), dens, emb, forest(emb, dens))
 
+    @pytest.mark.parametrize("fault", ["short", "long", "holds n", "negative"])
+    def test_fully_seeded_call_still_checks_the_forest(self, fault):
+        emb, dens, truth = two_cluster_setup()
+        up = forest(emb, dens)
+        up = {"short": up[:-1], "long": np.append(up, 0),
+              "holds n": np.where(np.arange(dens.n) == 5, dens.n, up),
+              "negative": np.where(np.arange(dens.n) == 5, -1, up)}[fault]
+        with pytest.raises(ValueError, match="nearest_higher must hold"):
+            da.propagate_labels(truth, dens, emb, up)
+
 
 class TestEstimateNumClusters:
     def _scores(self, score_values):

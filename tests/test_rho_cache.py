@@ -126,16 +126,28 @@ def _rho_layout(n):
     return [("rho", np.float64, (n,)), ("nearest_higher", np.int64, (n,))]
 
 
-def _format_2_entry(arrays):
-    """The bytes of arrays as the format-2 writer stored them: the magic, the
-    array count, a (name, dtype string, ndim) head and the shape per array,
-    a format_version array [2] last, then every array's bytes."""
-    arrays = {**arrays, "format_version": np.array([2], dtype=np.int64)}
-    head = [b"DIFFALCA", struct.pack("<I", len(arrays))]
+def _packed_entry(count, arrays):
+    """The bytes of arrays under a packed binary header: the magic, the
+    little-endian integers count, then a (name, dtype string, ndim) head and
+    the shape per array, then every array's bytes."""
+    head = [b"DIFFALCA", struct.pack(f"<{len(count)}I", *count)]
     for name, value in arrays.items():
         head += [struct.pack("<16s8sI", name.encode(), value.dtype.str.encode(), value.ndim),
                  struct.pack(f"<{value.ndim}q", *value.shape)]
     return b"".join(head + [value.tobytes() for value in arrays.values()])
+
+
+def _format_2_entry(arrays):
+    """The bytes of arrays as the format-2 writer stored them: the array
+    count and a format_version array [2] last."""
+    arrays = {**arrays, "format_version": np.array([2], dtype=np.int64)}
+    return _packed_entry([len(arrays)], arrays)
+
+
+def _format_3_entry(arrays):
+    """The bytes of arrays as the format-3 writer stored them: the version 3
+    and the array count."""
+    return _packed_entry([3, len(arrays)], arrays)
 
 
 class TestUntrustedRhoEntries:
@@ -146,10 +158,10 @@ class TestUntrustedRhoEntries:
         cloud = da.PointCloud(np.random.default_rng(42).normal(size=(100, 2)))
         return da.build_model(cloud, k=6, cache_dir=tmp_path)
 
-    @pytest.mark.parametrize("fault", ["truncated", "stale", "format 2", "misshapen rho",
-                                       "misshapen nearest_higher", "missing rho",
-                                       "missing nearest_higher", "retyped rho",
-                                       "retyped nearest_higher"])
+    @pytest.mark.parametrize("fault", ["truncated", "stale", "format 2", "format 3",
+                                       "misshapen rho", "misshapen nearest_higher",
+                                       "missing rho", "missing nearest_higher",
+                                       "retyped rho", "retyped nearest_higher"])
     def test_untrusted_entry_is_a_miss_and_overwritten(self, tmp_path, searches, fault):
         _, want = self._model(tmp_path).scores_at(self.T)
         (path,) = tmp_path.glob("rho_*.bin")
@@ -157,10 +169,12 @@ class TestUntrustedRhoEntries:
         data = path.read_bytes()
         if fault == "truncated":
             path.write_bytes(data[: len(data) // 2])
-        elif fault == "stale":  # the header's version field, after the 8-byte magic, reads 2
-            path.write_bytes(data[:8] + struct.pack("<I", 2) + data[12:])
-        elif fault == "format 2":  # an entry as the previous format wrote it
+        elif fault == "stale":  # the header line's version, after the 8-byte magic, reads 3
+            path.write_bytes(data.replace(b"DIFFALCA[4,", b"DIFFALCA[3,", 1))
+        elif fault == "format 2":
             path.write_bytes(_format_2_entry(good))
+        elif fault == "format 3":  # an entry as the previous format wrote it
+            path.write_bytes(_format_3_entry(good))
         else:
             bad = dict(good)
             how, _, array = fault.partition(" ")
