@@ -16,10 +16,13 @@ binary, are left on disk until their key is asked for again.  Spectrum
 keys carry the eigensolver version, so spectra cached by an older solver
 are recomputed.
 
-A "rho" entry holds geometry.nearest_denser_points's two arrays at one
-diffusion time, 16 bytes per point.  Its key hashes the points, k, sigma,
-sigma0, num_eigs, the eigensolver version and repr(float(t)), so an
-np.float64 grid time and the same --t typed as a number share one entry.
+pipeline.build_model hashes k and num_eigs as ints and sigma and sigma0
+as floats (params_key hashes each value's repr), so numpy scalars, 1 and
+1.0 share an entry.  A "rho" entry holds geometry.nearest_denser_points's
+two arrays at one diffusion time, 16 bytes per point.  Its key hashes the
+points, k, sigma, sigma0, num_eigs, the eigensolver version and
+repr(float(t)), so an np.float64 grid time and the same --t typed as a
+number share one entry.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import os
 import sys
 import time
 import warnings
+from collections import namedtuple
 
 import numpy as np
 
@@ -54,48 +55,36 @@ GENERATORS = {"gaussians": gen_gaussians, "hierarchical": gen_hierarchical,
               "geometric": gen_geometric, "bottleneck": gen_bottleneck}
 METHODS = ("land", "land-random", "cbal", "lund")
 
+# A config key's row: the caster of its values (also its flag's type), its
+# default (None: unset unless given), its flag's help, and its group: the
+# "graph" keys are flags of every command that builds a model, and the
+# "generator" keys are bound to the generator's parameters by _generate.
+_Key = namedtuple("_Key", "caster default help group", defaults=(None, None, None))
 CONFIG_KEYS = {
-    "dataset": str,          # generator name or points CSV path
-    "truth": str,            # labels path (file datasets)
-    "data_seed": int,
-    "sizes": str,            # comma-separated component sizes
-    "per_cluster": int,
-    "stddev": float,
-    "means": str,            # semicolon-separated vectors for gaussians
-    "k": int,
-    "sigma": float,
-    "sigma0": float,
-    "num_eigs": int,
-    "t": str,                # diffusion time or "auto"
-    "budgets": str,          # comma-separated budgets
-    "methods": str,          # comma-separated subset of METHODS
-    "trials": int,           # number of trial seeds for randomized methods
-    "root_seed": int,
-    "cbal_theta": float,
-    "cbal_sample_size": int,
-    "out": str,
-    "cache": str,
+    "dataset": _Key(str, "gaussians", "generator name or, outside gen-data, a points CSV path"),
+    "truth": _Key(str, help="labels path (file datasets)"),
+    "data_seed": _Key(int, 0),
+    "sizes": _Key(str, help="comma-separated component sizes", group="generator"),
+    "per_cluster": _Key(int, group="generator"),
+    "stddev": _Key(float, group="generator"),
+    "means": _Key(str, help="semicolon-separated vectors for gaussians", group="generator"),
+    "k": _Key(int, help="graph neighbors", group="graph"),
+    "sigma": _Key(float, help="kernel bandwidth", group="graph"),
+    "sigma0": _Key(float, help="density bandwidth", group="graph"),
+    "num_eigs": _Key(int, help="retained eigenpairs", group="graph"),
+    "t": _Key(str, "auto", 'diffusion time or "auto"'),
+    "budgets": _Key(str, "10", "comma-separated budgets"),
+    "methods": _Key(str, "land", "comma-separated subset of " + ", ".join(METHODS)),
+    "trials": _Key(int, 1, "number of trial seeds for randomized methods"),
+    "root_seed": _Key(int, 0),
+    "cbal_theta": _Key(float, 0.9),
+    "cbal_sample_size": _Key(int, 3),
+    "out": _Key(str),
+    "cache": _Key(str, help="neighbor list, spectrum and per-t rho_* cache", group="graph"),
 }
-GENERATOR_KEYS = ("sizes", "per_cluster", "stddev", "means")
-GRAPH_KEYS = {  # each graph key with its flag's help
-    "k": "graph neighbors",
-    "sigma": "kernel bandwidth",
-    "sigma0": "density bandwidth",
-    "num_eigs": "retained eigenpairs",
-    "cache": "cache of neighbor lists, spectra and per-t rho_* entries",
-}
-
-DEFAULT_CONFIG = {
-    "dataset": "gaussians",
-    "data_seed": 0,
-    "t": "auto",
-    "budgets": "10",
-    "methods": "land",
-    "trials": 1,
-    "root_seed": 0,
-    "cbal_theta": 0.9,
-    "cbal_sample_size": 3,
-}
+DEFAULT_CONFIG = {key: row.default for key, row in CONFIG_KEYS.items() if row.default is not None}
+GENERATOR_KEYS = tuple(key for key, row in CONFIG_KEYS.items() if row.group == "generator")
+GRAPH_KEYS = tuple(key for key, row in CONFIG_KEYS.items() if row.group == "graph")
 
 AUTO_T_GRID = (0.0, 6.0, 0.5)  # log10 bounds and step for the automatic t scan
 
@@ -115,9 +104,8 @@ def coerce_config(raw: dict) -> dict:
     for key, value in raw.items():
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        caster = CONFIG_KEYS[key]
         try:
-            cfg[key] = caster(value)
+            cfg[key] = CONFIG_KEYS[key].caster(value)
         except (TypeError, ValueError):
             raise ConfigError(f"config key {key!r} has bad value {value!r}") from None
     return cfg
@@ -457,10 +445,11 @@ def _read_inputs(args, *outputs) -> tuple[dict, PointCloud, np.ndarray | None]:
 
 def _add_keys(sub, *keys, **kwargs) -> None:
     """One flag per config key: `--key-with-dashes`, or the flag of a
-    (flag, key) alias, with the key as its dest and its caster as its type."""
+    (flag, key) alias, with the key as its dest and its row's caster and help."""
     for key in keys:
         flag, key = key if isinstance(key, tuple) else ("--" + key.replace("_", "-"), key)
-        sub.add_argument(flag, dest=key, type=CONFIG_KEYS[key], help=GRAPH_KEYS.get(key), **kwargs)
+        row = CONFIG_KEYS[key]
+        sub.add_argument(flag, dest=key, type=row.caster, help=row.help, **kwargs)
 
 
 def _add_input_flags(sub) -> None:

@@ -99,10 +99,6 @@ class SpectralDecomposition:
     stationary: np.ndarray   # (n,)
 
     @property
-    def n(self) -> int:
-        return self.basis.shape[0]
-
-    @property
     def num_eigs(self) -> int:
         return self.eigenvalues.shape[0]
 

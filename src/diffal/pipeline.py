@@ -18,6 +18,7 @@ part of scores_at.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
@@ -143,7 +144,9 @@ def build_model(
     explicit sigma or sigma0 that is not positive (NaN included) is a
     ValueError.  cache_dir, when given, is created (with its parents) only
     after the num_eigs, sigma and sigma0 checks, and before the neighbor
-    search; one that cannot be created raises OSError.
+    search; one that cannot be created raises OSError.  Cache keys hash k
+    and num_eigs as ints and sigma and sigma0 as floats, so numpy scalars,
+    1 and 1.0 share entries with the Python number of equal value.
     """
     n = cloud.n
     if n < 2:
@@ -156,6 +159,7 @@ def build_model(
     for name, value in (("sigma", sigma), ("sigma0", sigma0)):
         if value is not None:
             _check_positive(name, value)
+    k, num_eigs = operator.index(k), operator.index(num_eigs)
 
     cache = DiffusionCache(cache_dir) if cache_dir is not None else None
     points_state = points_hash(cloud.points) if cache is not None else None
@@ -181,14 +185,14 @@ def build_model(
                 f"duplicate (each point occurs more than {k} times); deduplicate the "
                 "data or pass --sigma"
             )
-    if sigma0 is None:
-        sigma0 = sigma
+    sigma = float(sigma)
+    sigma0 = sigma if sigma0 is None else float(sigma0)
+    graph_params = dict(k=k, sigma=sigma, num_eigs=num_eigs, solver=EIGENSOLVER_VERSION)
 
     spectrum = cached(
         "spectrum", (n, num_eigs),
         lambda: spectral_decompose(kernel_matrix(neighbors, sigma), num_eigs),
-        k=k, sigma=sigma, num_eigs=num_eigs, solver=EIGENSOLVER_VERSION,
-    )
+        **graph_params)
     spectrum = truncate_small_eigenvalues(spectrum)
 
     density = kde(neighbors, sigma0)
@@ -197,10 +201,8 @@ def build_model(
         neighbors=neighbors,
         spectrum=spectrum,
         density=density,
-        sigma=float(sigma),
-        cached_rho=partial(
-            cached, "rho", (n,), k=k, sigma=float(sigma), sigma0=float(sigma0),
-            num_eigs=num_eigs, solver=EIGENSOLVER_VERSION),
+        sigma=sigma,
+        cached_rho=partial(cached, "rho", (n,), sigma0=sigma0, **graph_params),
     )
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -146,6 +147,21 @@ class TestPipelineCommands:
         assert code == 0
         got = da.load_labels(out)
         assert da.overall_accuracy(got, truth) == 1.0
+        assert "never observed" not in capsys.readouterr().out
+
+    def test_land_names_the_classes_its_budget_never_observed(
+            self, small_dataset, tmp_path, capsys):
+        points, labels, cloud, truth = small_dataset
+        out = tmp_path / "land_labels.txt"
+        assert run_cli("land", "--data", str(points), "--truth", str(labels),
+                       "--budget", "1", "--t", "100", "--out", str(out)) == 0
+        model = da.build_model(cloud)
+        emb, scores = model.scores_at(100.0)
+        result = da.land(scores, model.density, emb, 1, da.GroundTruthOracle(truth, 1))
+        missing = sorted(set(truth.tolist()) - set(result.observed_classes().tolist()))
+        assert len(missing) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"classes never observed by the oracle: {missing}"
 
     def test_land_interactive_subprocess(self, small_dataset, tmp_path):
         points, _, _, truth = small_dataset
@@ -366,21 +382,16 @@ class TestBench:
         ({"methods": "cbal", "budgets": "0"}, "budget must be at least 1"),
         ({"methods": "cbal", "cbal_theta": "0"}, "purity threshold must be in (0, 1]"),
         ({"methods": "land,cbal", "cbal_sample_size": "0"}, "sample size must be at least 1"),
+        ({"methods": "land", "budgets": "3,x"}, "bad budgets list: '3,x'"),
     ])
     def test_bad_budget_or_cbal_setting_fails_before_any_graph_work(
             self, tmp_path, capsys, monkeypatch, extra, message):
-        builds = []
-
-        def spy(*args, **kwargs):
-            builds.append(args)
-            return da.build_model(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "build_model", spy)
+        builds = _spy_builds(monkeypatch)
         out = tmp_path / "o"
         code = run_cli("bench", "--config", str(self._config(tmp_path, **extra)), "--out", str(out))
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith("config error:") and message in err
+        assert err.startswith("config error:") and message in err and err.count("\n") == 1
         assert builds == []
         assert not out.exists()
 
@@ -443,11 +454,27 @@ class TestConfigAndExitCodes:
         with pytest.raises(ConfigError):
             coerce_config({"k": "many"})
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("mystery = 1\n", "unknown config key 'mystery'"),
+        ("methods = land\nbudgets 3\n", "line 2 is not `key = value`"),
+    ])
+    def test_config_error_exit_code(self, tmp_path, capsys, monkeypatch, text, message):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("mystery = 1\n")
-        assert run_cli("bench", "--config", str(bad)) == 2
-        assert "config error" in capsys.readouterr().err
+        bad.write_text(text)
+        builds = _spy_builds(monkeypatch)
+        out = tmp_path / "o"
+        assert run_cli("bench", "--config", str(bad), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.endswith(f"{message}\n")
+        assert err.count("\n") == 1
+        assert builds == []
+        assert not out.exists()
+
+    def test_readme_lists_the_config_keys_in_order(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config files", 1)[1]
+        keys = section.split("\nKeys: ", 1)[1].split("\n\n", 1)[0]
+        assert re.findall(r"`(\w+)`", keys) == list(cli.CONFIG_KEYS)
 
     def test_data_error_exit_code(self, tmp_path, capsys):
         assert run_cli(
@@ -1372,22 +1399,24 @@ def test_num_eigs_is_checked_before_the_neighbor_search(monkeypatch):
         da.build_model(cloud, num_eigs=31)
 
 
-# the top time of the first two overflows; the last has 10**16 + 1 points,
-# which no machine can allocate, so numpy refuses at once
+# the top time of 300:320:10 and 0:1e9:1e-9 overflows; 0:1:1e-16 has
+# 10**16 + 1 points, which no machine can allocate, so numpy refuses at once
 @pytest.mark.parametrize("grid, message", [
-    ("300:320:10", "reaches a time that overflows"),
-    ("0:1e9:1e-9", "reaches a time that overflows"),
-    ("0:1:1e-16", "has too many points"),
+    ("300:320:10", "time grid 300.0:320.0:10.0 reaches a time that overflows"),
+    ("0:1e9:1e-9", "time grid 0.0:1000000000.0:1e-09 reaches a time that overflows"),
+    ("0:1:1e-16", "time grid 0.0:1.0:1e-16 has too many points"),
+    ("0:1", "grid must be start:stop:step in log10, got '0:1'"),
+    ("0:1:0.5:2", "grid must be start:stop:step in log10, got '0:1:0.5:2'"),
+    ("0:one:1", "bad grid '0:one:1'"),
+    ("0:1:0", "step must be positive, got 0.0"),
 ])
-def test_t_grid_that_overflows_or_cannot_be_allocated_fails_before_the_graph(
+def test_bad_t_grid_fails_before_the_graph(
         small_dataset, tmp_path, capsys, monkeypatch, grid, message):
     points, _, _, _ = small_dataset
     builds = _spy_builds(monkeypatch)
     out = tmp_path / "scan.csv"
     assert run_cli("scan-t", "--data", str(points), "--t-grid", grid, "--out", str(out)) == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("config error: time grid ") and err.endswith(message)
-    assert "\n" not in err
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert builds == []
     assert not out.exists()
 

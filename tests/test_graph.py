@@ -1,3 +1,5 @@
+import errno
+import io
 import warnings
 
 import numpy as np
@@ -6,6 +8,8 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 import diffal as da
+from diffal import cache as cache_module
+from diffal import pipeline
 from diffal.cache import params_key, points_hash, read_arrays, write_arrays
 from diffal.graph import NumericalError, _symmetric_conjugate
 
@@ -328,6 +332,70 @@ class TestCache:
             assert np.array_equal(model.spectrum.eigenvalues, fresh.spectrum.eigenvalues)
             assert np.array_equal(model.spectrum.basis, fresh.spectrum.basis)
             assert np.array_equal(model.neighbors.indices, fresh.neighbors.indices)
+
+    def test_equal_parameters_of_another_numeric_type_share_entries(self, tmp_path, monkeypatch):
+        # k and num_eigs are hashed as ints and sigma and sigma0 as floats
+        cloud = da.PointCloud(np.random.default_rng(29).normal(size=(80, 2)))
+        searches = []
+        real = pipeline.knn_search
+        monkeypatch.setattr(pipeline, "knn_search",
+                            lambda cloud, k: searches.append(k) or real(cloud, k))
+        da.build_model(cloud, k=6, num_eigs=8, cache_dir=tmp_path)
+        da.build_model(cloud, k=np.int64(6), num_eigs=np.int32(8), cache_dir=tmp_path)
+        assert searches == [6]
+        assert len(list(tmp_path.glob("eig_*.bin"))) == 1
+        for sigma, sigma0 in ((1, 2), (1.0, np.float32(2.0)), (np.float64(1.0), 2.0)):
+            model = da.build_model(cloud, k=6, num_eigs=8, sigma=sigma, sigma0=sigma0,
+                                   cache_dir=tmp_path)
+            assert type(model.sigma) is float
+            model.scores_at(np.float64(10.0))
+        assert searches == [6]
+        assert len(list(tmp_path.glob("eig_*.bin"))) == 2
+        assert len(list(tmp_path.glob("rho_*.bin"))) == 1
+
+    def test_entry_names_are_those_earlier_versions_wrote(self, tmp_path):
+        # pinned, so that caches written by earlier versions still hit; a new
+        # EIGENSOLVER_VERSION changes the eig_ and rho_ names on purpose
+        cloud = da.PointCloud(np.random.default_rng(3).normal(size=(60, 2)))
+        names = {
+            (): ["eig_8fc148dc2ed11b5cb4f2074598a0f99269e205ab5c4a108201e41bf99025ed31",
+                 "nb_bda9b00a5ac73d2af672ced324740f42cba41ad705661114b25362593b013f9c",
+                 "rho_85b4e1f1c05ec1bd7bcc4870cf20ee131ad632e6425f791c8c3c4efaf0624d7d"],
+            (("k", 10), ("sigma", 0.7), ("sigma0", 0.9), ("num_eigs", 8)): [
+                "eig_af0ad92c3f7e4f98d94fe15212f64ec62b7747dcede5d9300aede8d7c2a93e94",
+                "nb_0f5a9e231a9a7a650ef16114873192e477f9be8dfe97571de8fb9675477de246",
+                "rho_742e2e53e0eea09f643fa05cc188c88935e95ddcf9a1f1b5a0c7653b91b76013"],
+        }
+        for i, (params, want) in enumerate(names.items()):
+            directory = tmp_path / str(i)
+            da.build_model(cloud, cache_dir=directory, **dict(params)).scores_at(100.0)
+            assert sorted(path.stem for path in directory.iterdir()) == want
+
+    def test_a_failed_write_leaves_nothing_and_the_next_build_writes_it_whole(
+            self, tmp_path, monkeypatch):
+        cloud = da.PointCloud(np.random.default_rng(30).normal(size=(80, 2)))
+        real = cache_module.write_arrays
+
+        def write_half(fh, arrays):
+            entry = io.BytesIO()
+            real(entry, arrays)
+            fh.write(entry.getvalue()[: entry.tell() // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cache_module, "write_arrays", write_half)
+        with pytest.raises(OSError, match="No space left on device"):
+            da.build_model(cloud, k=6, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+        monkeypatch.setattr(cache_module, "write_arrays", real)
+        fresh = da.build_model(cloud, k=6)
+        da.build_model(cloud, k=6, cache_dir=tmp_path)
+        assert sorted(path.name[:3] for path in tmp_path.iterdir()) == ["eig", "nb_"]
+        for name in ("knn_search", "spectral_decompose"):  # recomputing would now fail
+            monkeypatch.setattr(pipeline, name, None)
+        warm = da.build_model(cloud, k=6, cache_dir=tmp_path)
+        assert np.array_equal(warm.neighbors.distances, fresh.neighbors.distances)
+        assert np.array_equal(warm.spectrum.basis, fresh.spectrum.basis)
 
     def test_entry_file_keeps_names_dtypes_shapes_and_values(self, tmp_path):
         rng = np.random.default_rng(28)
